@@ -103,10 +103,14 @@ done
 tmp="$(mktemp -d)"
 trap 'rm -rf "${tmp}"' EXIT
 
+# Five repetitions per benchmark, reported as mean/median/stddev/cv
+# aggregates only, so each artefact carries its own spread.
 run_bench() { # name -> writes ${tmp}/$1.json
   "${build_dir}/bench/$1" \
     --benchmark_format=json \
     --benchmark_min_time="${min_time}" \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     >"${tmp}/$1.json"
   echo "ran $1" >&2
 }

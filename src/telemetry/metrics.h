@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -71,6 +72,11 @@ class LatencyStat {
   }
   const Histogram& histogram() const { return hist_; }
   const OnlineStats& stats() const { return stats_; }
+  /// Histogram quantile clamped to the observed [min, max]: a bucket
+  /// midpoint can lie outside the range of the samples in the bucket.
+  double quantile(double q) const {
+    return std::clamp(hist_.quantile(q), stats_.min(), stats_.max());
+  }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
   std::size_t buckets() const { return buckets_; }

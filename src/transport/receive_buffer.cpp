@@ -14,7 +14,56 @@ namespace {
 /// Drained voids kept per flow for relayed NACK-void answers. The
 /// window only needs to cover a few NACK round trips of seqs.
 constexpr std::size_t kVoidHistoryCap = 1024;
+/// A flow's first reorder ring; doubles on the first collision.
+constexpr std::size_t kInitialReorderSlots = 16;
 }  // namespace
+
+const RtpPacketPtr* ReceiveBuffer::SeqRing::find(Seq seq) const {
+  if (count_ == 0) return nullptr;
+  const RtpPacketPtr& p = slots_[seq & (slots_.size() - 1)];
+  return p && p->seq == seq ? &p : nullptr;
+}
+
+void ReceiveBuffer::SeqRing::insert(const RtpPacketPtr& pkt) {
+  if (slots_.empty()) slots_.resize(kInitialReorderSlots);
+  while (slots_[pkt->seq & (slots_.size() - 1)]) {
+    // Distinct residues modulo n stay distinct modulo 2n, so re-homing
+    // into the doubled ring never collides.
+    std::vector<RtpPacketPtr> bigger(slots_.size() * 2);
+    for (RtpPacketPtr& p : slots_) {
+      if (p) bigger[p->seq & (bigger.size() - 1)] = std::move(p);
+    }
+    slots_.swap(bigger);
+  }
+  slots_[pkt->seq & (slots_.size() - 1)] = pkt;
+  last_ = count_ == 0 ? pkt->seq : std::max(last_, pkt->seq);
+  ++count_;
+}
+
+void ReceiveBuffer::SeqRing::erase(Seq seq) {
+  slots_[seq & (slots_.size() - 1)].reset();
+  --count_;
+}
+
+Seq ReceiveBuffer::SeqRing::first() const {
+  Seq lo = last_;
+  for (const RtpPacketPtr& p : slots_) {
+    if (p) lo = std::min(lo, p->seq);
+  }
+  return lo;
+}
+
+void ReceiveBuffer::SeqRing::append_in_order(
+    std::vector<RtpPacketPtr>& out) const {
+  const std::size_t begin = out.size();
+  for (const RtpPacketPtr& p : slots_) {
+    if (p) out.push_back(p);
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end(),
+            [](const RtpPacketPtr& a, const RtpPacketPtr& b) {
+              return a->seq < b->seq;
+            });
+}
 
 ReceiveBuffer::ReceiveBuffer(sim::EventLoop* loop, DeliverFn deliver,
                              GapFn gap, NackFn nack, const Config& cfg)
@@ -37,7 +86,7 @@ void ReceiveBuffer::on_packet(const RtpPacketPtr& pkt) {
     ++duplicates_;
     return;
   }
-  if (st.buffered.count(pkt->seq) != 0) {
+  if (st.buffered.contains(pkt->seq)) {
     ++duplicates_;
     return;
   }
@@ -50,7 +99,7 @@ void ReceiveBuffer::on_packet(const RtpPacketPtr& pkt) {
     // already marked there by an out-of-order arrival.
     for (Seq s = std::max(st.next_expected, pkt->prev_link_seq + 1);
          s < pkt->seq; ++s) {
-      if (st.buffered.count(s) != 0) continue;
+      if (st.buffered.contains(s)) continue;
       if (st.missing.erase(s) != 0 && holes_since_fb_ > 0) --holes_since_fb_;
       st.voids.insert(s);
     }
@@ -60,9 +109,9 @@ void ReceiveBuffer::on_packet(const RtpPacketPtr& pkt) {
     const Seq scan_from =
         st.buffered.empty() ? st.next_expected
                             : std::max(st.next_expected,
-                                       st.buffered.rbegin()->first + 1);
+                                       st.buffered.last() + 1);
     for (Seq s = scan_from; s < pkt->seq; ++s) {
-      if (st.buffered.count(s) == 0 && st.missing.count(s) == 0 &&
+      if (!st.buffered.contains(s) && st.missing.count(s) == 0 &&
           st.voids.count(s) == 0) {
         st.missing.emplace(s, MissInfo{loop_->now(), kNever, 0});
         ++holes_since_fb_;
@@ -88,13 +137,13 @@ void ReceiveBuffer::on_packet(const RtpPacketPtr& pkt) {
     }
     st.missing.erase(miss_it);
   }
-  st.buffered.emplace(pkt->seq, pkt);
+  st.buffered.insert(pkt);
   drain_in_order(st);
 
   // Bound the out-of-order buffer: if it overflows, force-skip to its
   // start (treat the unrecovered range as a gap).
   if (st.buffered.size() > cfg_.max_buffered) {
-    const Seq first_buffered = st.buffered.begin()->first;
+    const Seq first_buffered = st.buffered.first();
     for (Seq s = st.next_expected; s < first_buffered; ++s) {
       st.missing.erase(s);
     }
@@ -115,11 +164,14 @@ void ReceiveBuffer::on_packet(const RtpPacketPtr& pkt) {
 
 void ReceiveBuffer::drain_in_order(StreamState& st) {
   for (;;) {
-    const auto it = st.buffered.find(st.next_expected);
-    if (it != st.buffered.end()) {
-      deliver_(it->second);
+    if (const RtpPacketPtr* slot = st.buffered.find(st.next_expected)) {
+      // The packet stays buffered during the upcall: a startup burst
+      // served from inside it reads buffered_packets(). The copy keeps
+      // it alive if the upcall grows the ring.
+      const RtpPacketPtr pkt = *slot;
+      deliver_(pkt);
       ++delivered_;
-      st.buffered.erase(it);
+      st.buffered.erase(st.next_expected);
       ++st.next_expected;
       continue;
     }
@@ -174,7 +226,7 @@ void ReceiveBuffer::scan() {
       for (Seq s : to_abandon) st.missing.erase(s);
       bool skipped = false;
       while (!st.missing.empty() || !st.buffered.empty()) {
-        if (st.buffered.count(st.next_expected) != 0 ||
+        if (st.buffered.contains(st.next_expected) ||
             st.voids.count(st.next_expected) != 0) {
           drain_in_order(st);
           continue;
@@ -215,7 +267,7 @@ void ReceiveBuffer::void_seqs(StreamId stream, bool audio,
   StreamState& st = it->second;
   if (!st.started) return;
   for (const Seq s : seqs) {
-    if (s < st.next_expected || st.buffered.count(s) != 0) continue;
+    if (s < st.next_expected || st.buffered.contains(s)) continue;
     if (st.missing.erase(s) != 0 && holes_since_fb_ > 0) --holes_since_fb_;
     st.voids.insert(s);
   }
@@ -227,10 +279,7 @@ std::vector<RtpPacketPtr> ReceiveBuffer::buffered_packets(
   std::vector<RtpPacketPtr> out;
   for (const bool audio : {false, true}) {
     const auto it = streams_.find(flow_key(stream, audio));
-    if (it == streams_.end()) continue;
-    for (const auto& [seq, pkt] : it->second.buffered) {
-      out.push_back(pkt);
-    }
+    if (it != streams_.end()) it->second.buffered.append_in_order(out);
   }
   return out;
 }
@@ -245,7 +294,7 @@ bool ReceiveBuffer::would_accept(StreamId stream, bool audio,
   // A voided seq was layer-filtered upstream: an out-of-band recovery
   // injecting it would resurrect the filtered layer.
   if (st.voids.count(seq) != 0) return false;
-  return st.buffered.count(seq) == 0;
+  return !st.buffered.contains(seq);
 }
 
 std::vector<Seq> ReceiveBuffer::missing_subset(

@@ -117,10 +117,36 @@ class ReceiveBuffer {
     Time last_nack = kNever;
     int nacks = 0;
   };
+  /// Packets that arrived but are not yet delivered, keyed by seq: a
+  /// power-of-two ring indexed by `seq & mask` whose slots are tagged by
+  /// their packet's own seq. A packet landing on an occupied slot
+  /// doubles the ring, so nothing is overwritten; the ring grows to the
+  /// span of buffered seqs, which stays near the reorder depth.
+  class SeqRing {
+   public:
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+    /// The buffered packet with this seq, or nullptr.
+    const media::RtpPacketPtr* find(media::Seq seq) const;
+    bool contains(media::Seq seq) const { return find(seq) != nullptr; }
+    /// Precondition: !contains(pkt->seq).
+    void insert(const media::RtpPacketPtr& pkt);
+    void erase(media::Seq seq);
+    /// Highest / lowest buffered seq; precondition: !empty().
+    media::Seq last() const { return last_; }
+    media::Seq first() const;
+    /// Buffered packets in seq order.
+    void append_in_order(std::vector<media::RtpPacketPtr>& out) const;
+
+   private:
+    std::vector<media::RtpPacketPtr> slots_;  ///< empty until first insert
+    std::size_t count_ = 0;
+    media::Seq last_ = 0;
+  };
   struct StreamState {
     bool started = false;
     media::Seq next_expected = 0;
-    std::map<media::Seq, media::RtpPacketPtr> buffered;
+    SeqRing buffered;
     std::map<media::Seq, MissInfo> missing;
     /// Seqs the upstream declared intentionally absent on this link
     /// (layer-filtered; see RtpPacket::prev_link_seq). Never NACKed,

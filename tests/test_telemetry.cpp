@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "media/rtp.h"
@@ -78,6 +79,32 @@ TEST_F(RegistryTest, JsonExportContainsSectionsAndNames) {
   EXPECT_NE(j.find("\"t.json_counter\": 4"), std::string::npos);
   EXPECT_NE(j.find("\"t.json_gauge\": 1.5"), std::string::npos);
   EXPECT_NE(j.find("\"t.json_lat\""), std::string::npos);
+}
+
+// metrics.json quantiles come from fixed linear buckets: samples far
+// below one bucket's width used to report the bucket midpoint (p50 = 25
+// against max = 3.99 for brain.recompute_ms). They must stay within the
+// observed [min, max].
+TEST_F(RegistryTest, JsonQuantilesStayWithinMinAndMax) {
+  LatencyStat* l =
+      MetricsRegistry::instance().latency("t.sub_bucket", 0.0, 10000.0, 200);
+  const double samples[] = {3.1, 3.5, 3.99};
+  for (const double v : samples) l->observe(v);
+  std::ostringstream os;
+  MetricsRegistry::instance().write_json(os);
+  const std::string j = os.str();
+  const std::size_t at = j.find("\"t.sub_bucket\"");
+  ASSERT_NE(at, std::string::npos);
+  const auto field = [&](const std::string& key) {
+    const std::size_t k = j.find("\"" + key + "\": ", at);
+    EXPECT_NE(k, std::string::npos) << key;
+    return std::stod(j.substr(k + key.size() + 4));
+  };
+  EXPECT_DOUBLE_EQ(field("max"), 3.99);
+  for (const char* q : {"p50", "p90", "p99"}) {
+    EXPECT_LE(field(q), 3.99) << q;
+    EXPECT_GE(field(q), 3.1) << q;
+  }
 }
 
 TEST_F(RegistryTest, PreRegisteredHandlesCoverDataPlane) {
