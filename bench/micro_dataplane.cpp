@@ -273,20 +273,13 @@ class ChainRelay final : public sim::SimNode {
   }
 
   void on_message(sim::NodeId from, const sim::MessagePtr& msg) override {
-    on_message_batch(from, &msg, 1);
-  }
-
-  void on_message_batch(sim::NodeId from, const sim::MessagePtr* msgs,
-                        std::size_t n) override {
     (void)from;
-    received_ += n;
+    ++received_;
     if (pacer_ == nullptr) return;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Zero-copy relay: the immutable packet is shared down the chain.
-      // Only RtpPackets flow in this bench, so the downcast is static.
-      pacer_->enqueue(media::RtpPacketPtr(
-          static_cast<const media::RtpPacket*>(msgs[i].get())));
-    }
+    // Zero-copy relay: the immutable packet is shared down the chain.
+    // Only RtpPackets flow in this bench, so the downcast is static.
+    pacer_->enqueue(media::RtpPacketPtr(
+        static_cast<const media::RtpPacket*>(msg.get())));
   }
 
   transport::Pacer* pacer() { return pacer_.get(); }
@@ -302,32 +295,21 @@ class ChainRelay final : public sim::SimNode {
 void BM_EndToEndForward(benchmark::State& state) {
   // End-to-end data-plane throughput: a 600-node relay chain (the
   // repro_scale footprint), every hop re-pacing and forwarding frame
-  // bursts. Arg(0) pins the pre-batching event chain — one delivery
-  // upcall and one pacer event per packet. Arg(1) is the shipping
-  // configuration: 1 ms delivery quantum with credit-bounded pacer
-  // bursts, so a 24-packet frame costs one flush + one drain per hop.
-  // Delivery times and order are identical in both modes (see the
-  // quantum-sweep differential test); only the callback count differs.
+  // bursts — one delivery event and one pacer event per packet per hop.
   //
   // kFrames saturates the pipeline: injection (10 ms cadence) overlaps
   // the ~3 s end-to-end traversal, so ~kFrames frame clumps are in
   // flight at once and the event queue carries hundreds of pending
   // events — the regime repro_scale actually runs in. An idle pipeline
-  // (few pending events) would understate the per-packet event cost the
-  // batched path removes.
+  // (few pending events) would understate the per-packet event cost.
   constexpr int kNodes = 600;
   constexpr int kFrames = 100;
   constexpr int kPacketsPerFrame = 24;
-  const bool batched = state.range(0) != 0;
 
   sim::EventLoop loop;
   sim::Network net(&loop, /*seed=*/7);
-  net.set_delivery_batch(batched ? sim::DeliveryBatch{1 * kMs, 128}
-                                 : sim::DeliveryBatch{0, 1});
   transport::Pacer::Config pc;
   pc.rate_bps = 1e9;
-  pc.max_burst = batched ? 2 * kMs : 0;
-  pc.max_burst_packets = batched ? 128 : 1;
 
   std::vector<std::unique_ptr<ChainRelay>> relays;
   relays.reserve(kNodes);
@@ -336,12 +318,12 @@ void BM_EndToEndForward(benchmark::State& state) {
     net.add_node(relays.back().get());
   }
   sim::LinkConfig lc;
-  lc.bandwidth_bps = 8e13;  // sub-us serialization: bursts stay coincident
+  lc.bandwidth_bps = 8e13;  // sub-us serialization
   lc.loss_rate = 0.0;
   lc.jitter_stddev = 0;
   for (int i = 0; i + 1 < kNodes; ++i) {
     // Staggered propagation keeps hop instants from colliding across
-    // the pipeline, which would serialize unrelated relays' drains.
+    // the pipeline.
     lc.propagation_delay = 5 * kMs + (i % 97) * 11;
     net.add_link(i, i + 1, lc);
   }
@@ -375,11 +357,8 @@ void BM_EndToEndForward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(hops));
   state.counters["pps"] =
       benchmark::Counter(static_cast<double>(hops), benchmark::Counter::kIsRate);
-  state.counters["batch_upcalls"] =
-      benchmark::Counter(static_cast<double>(net.batch_upcalls()),
-                         benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_EndToEndForward)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEndForward)->Unit(benchmark::kMillisecond);
 
 void BM_ShardedScale(benchmark::State& state) {
   // The million-viewer headline (ISSUE 7): the 595-infra-node cohort

@@ -25,12 +25,12 @@ asan_dir="${BENCH_ASAN_DIR:-${repo_root}/build-asan}"
 # ------------------------------------------------------------- verify step
 # Before trusting the numbers, prove the code they measure is sound:
 # an AddressSanitizer smoke of the chaos tests (node crash mid-burst /
-# mid-lookup, stream release with lookups in flight) plus the batched
-# data-plane smoke (bench_smoke_dataplane_batched: BM_EndToEndForward/1,
-# the fused inbox-slice + pacer multi-packet drain path). A dangling
-# linger/report/retry event touching freed engine state — or a fused
-# slice outliving its inbox storage — dies loudly here long before it
-# would skew a benchmark. Skip with BENCH_SKIP_ASAN=1.
+# mid-lookup, stream release with lookups in flight) plus the data-plane
+# chain smoke (bench_smoke_dataplane_chain: BM_EndToEndForward, the
+# per-packet delivery + pacer path on a saturated 600-node chain). A
+# dangling linger/report/retry event touching freed engine state dies
+# loudly here long before it would skew a benchmark. Skip with
+# BENCH_SKIP_ASAN=1.
 #
 # repro_recovery rides along (bench_smoke_recovery): the loss-recovery
 # tier exercises FEC group state, the GoP caches of standby suppliers,
@@ -51,8 +51,8 @@ if [[ "${BENCH_SKIP_ASAN:-0}" != "1" ]]; then
       --target test_node_failure test_stream_context micro_dataplane \
                repro_recovery repro_svc >&2
   (cd "${asan_dir}" && ctest --output-on-failure \
-      -R 'test_node_failure|test_stream_context|bench_smoke_dataplane_batched|bench_smoke_recovery|bench_smoke_svc') >&2
-  echo "verify: ASan chaos + recovery-tier + SVC-tier + batched data-plane smoke passed" >&2
+      -R 'test_node_failure|test_stream_context|bench_smoke_dataplane_chain|bench_smoke_recovery|bench_smoke_svc') >&2
+  echo "verify: ASan chaos + recovery-tier + SVC-tier + data-plane chain smoke passed" >&2
 fi
 
 # ThreadSanitizer smoke of the sharded runtime (-DLIVENET_SANITIZE=thread):
@@ -145,8 +145,8 @@ echo "wrote ${out_dir}/BENCH_dataplane.json" >&2
 echo "wrote ${out_dir}/BENCH_brain.json" >&2
 echo "wrote ${out_dir}/BENCH_telemetry.json" >&2
 
-# Headline summary: end-to-end forwarding throughput (packets/sec), per
-# packet vs batched, straight from the artefact just written. The pps
+# Headline summary: end-to-end forwarding throughput (packets/sec) of
+# the 600-node chain, straight from the artefact just written. The pps
 # counter is emitted by BM_EndToEndForward itself (kIsRate), so the
 # column below is a projection of BENCH_dataplane.json, not a re-run.
 python3 - "${out_dir}/BENCH_dataplane.json" <<'PY' >&2
@@ -155,14 +155,9 @@ import sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-pps = {}
 for b in doc["benchmarks"]:
     if b.get("run_type") == "aggregate" and b.get("aggregate_name") != "median":
         continue
-    name = b["name"].split("/")
-    if name[0] == "BM_EndToEndForward" and "pps" in b:
-        pps[name[1].split("_")[0]] = b["pps"]
-if "0" in pps and "1" in pps:
-    print("BM_EndToEndForward pps: per-packet %.3g  batched %.3g  (%.2fx)"
-          % (pps["0"], pps["1"], pps["1"] / pps["0"]))
+    if b.get("run_name", b["name"]) == "BM_EndToEndForward" and "pps" in b:
+        print("BM_EndToEndForward pps: %.3g" % b["pps"])
 PY

@@ -70,10 +70,8 @@ struct ShardedScaleResult {
   std::uint64_t infra_nodes = 0;   ///< source + heads + relays + consumers
   std::uint64_t total_nodes = 0;   ///< infra + cohort representative viewers
   std::uint64_t modeled_viewers = 0;
-  /// Events dispatched, summed over shard loops. NOT shard-count
-  /// invariant: inbox fusion folds fewer packets per flush callback
-  /// when more regions share a loop (dispatch *order* still is — see
-  /// Network's batching contract), so this is a work gauge, not golden.
+  /// Events dispatched, summed over shard loops. Shard-count invariant:
+  /// every delivery and timer is one event whichever loop hosts it.
   std::uint64_t events = 0;
   std::uint64_t cross_messages = 0;
   std::uint64_t cross_clones = 0;

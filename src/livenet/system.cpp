@@ -11,9 +11,7 @@ using workload::GeoSite;
 
 CdnSystem::CdnSystem(const SystemConfig& cfg)
     : cfg_(cfg), net_(&loop_, cfg.seed),
-      geo_(cfg.geo, Rng(cfg.seed ^ 0x47656F6Dull)) {
-  net_.set_delivery_batch(cfg.delivery_batch);
-}
+      geo_(cfg.geo, Rng(cfg.seed ^ 0x47656F6Dull)) {}
 
 int CdnSystem::country_of_node(NodeId n) const {
   const auto idx = static_cast<std::size_t>(n);

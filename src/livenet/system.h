@@ -60,11 +60,6 @@ struct SystemConfig {
   double access_bandwidth_bps = 20e6;
   Duration access_extra_delay = 12 * kMs;  ///< last-mile tail latency
 
-  /// Delivery batching bounds for the simulated network (callback
-  /// granularity only; behaviour is invariant across settings — see
-  /// DESIGN.md "Batched delivery"). {0, 1} forces one upcall/packet.
-  sim::DeliveryBatch delivery_batch;
-
   // Node / controller behaviour.
   overlay::OverlayNodeConfig overlay_node;
   brain::BrainConfig brain;

@@ -26,16 +26,7 @@ LayerMask sanitize_mask(LayerMask mask) {
 // ------------------------------------------------------------ stream state
 
 StreamContext& ControlAgent::ensure_stream(StreamId s) {
-  StreamContext& ctx = table_->context(s);
-  if (!ctx.has_media()) {
-    ctx.gop_cache = media::GopCache(cfg_->frame_cache_gops);
-    ctx.framer = std::make_unique<media::Framer>(
-        [table = table_, s](const media::Frame& f) {
-          StreamContext* c = table->find_context(s);
-          if (c != nullptr) c->gop_cache.add_frame(f);
-        });
-  }
-  return ctx;
+  return table_->context(s);
 }
 
 bool ControlAgent::paths_fresh(const StreamContext& ctx) const {
@@ -125,7 +116,6 @@ void ControlAgent::handle_publish(NodeId client, const PublishRequest& req) {
   auto& entry = table_->fib_entry(req.stream_id);
   entry.locally_produced = true;
   entry.upstream = sim::kNoNode;
-  ensure_stream(req.stream_id);  // sets up framer + GoP cache
   (void)client;
 
   if (env_->brain != sim::kNoNode) {

@@ -73,8 +73,8 @@ class ControlAgent {
   void switch_path(media::StreamId stream);
 
   // ------------------------------------------------------------ plumbing
-  /// Context with media state (framer + frame-level GoP cache) ensured,
-  /// mirroring every call site of the old monolith's stream_state().
+  /// Context for the stream, created on demand, mirroring every call
+  /// site of the old monolith's stream_state().
   StreamContext& ensure_stream(media::StreamId s);
 
   double node_load() const;

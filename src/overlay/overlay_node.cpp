@@ -59,10 +59,7 @@ void OverlayNode::wire_engines() {
 
   recovery_.set_hooks(
       [this](const RtpPacketPtr& pkt) { on_slow_path_delivery(pkt); },
-      [this](StreamId stream) {
-        StreamContext* ctx = streams_.find_context(stream);
-        if (ctx != nullptr && ctx->framer) ctx->framer->on_gap();
-      });
+      [](StreamId) {});
   recovery_.set_supplier_source(
       [this](StreamId s) -> const std::vector<NodeId>* {
         const StreamContext* ctx = streams_.find_context(s);
@@ -211,21 +208,6 @@ void OverlayNode::on_message(NodeId from, const sim::MessagePtr& msg) {
                      << msg->describe();
 }
 
-void OverlayNode::on_message_batch(NodeId from, const sim::MessagePtr* msgs,
-                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    // Bursts are overwhelmingly RTP; probe that once and fall back to
-    // the full dispatch ladder for everything else. The context is
-    // re-probed per packet: an earlier packet in the burst may create
-    // or release the stream's entry.
-    if (const auto rtp = sim::msg_cast<const RtpPacket>(msgs[i])) {
-      handle_rtp(from, rtp);
-    } else {
-      on_message(from, msgs[i]);
-    }
-  }
-}
-
 // -------------------------------------------------------------- data path
 
 void OverlayNode::handle_rtp(NodeId from, const RtpPacketPtr& pkt_in) {
@@ -265,8 +247,7 @@ void OverlayNode::handle_rtp(NodeId from, const RtpPacketPtr& pkt_in) {
 
 void OverlayNode::on_slow_path_delivery(const RtpPacketPtr& pkt) {
   recovery_.cache().add(pkt);
-  StreamContext& st = control_.ensure_stream(pkt->stream_id());
-  if (st.framer) st.framer->on_packet(*pkt);
+  control_.ensure_stream(pkt->stream_id());
   session_.maybe_flip_costream(pkt->stream_id());
 
   // Views that were queued while a locally-cached path was being
@@ -282,11 +263,6 @@ void OverlayNode::on_slow_path_delivery(const RtpPacketPtr& pkt) {
                             : sim::kNoNode;
     forwarding_.fast_forward(from, pkt, ctx);
   }
-}
-
-const media::GopCache* OverlayNode::gop_cache(StreamId s) const {
-  const StreamContext* ctx = streams_.find_context(s);
-  return ctx != nullptr && ctx->has_media() ? &ctx->gop_cache : nullptr;
 }
 
 }  // namespace livenet::overlay

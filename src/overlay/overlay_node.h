@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "media/gop_cache.h"
 #include "media/rtp.h"
 #include "overlay/control_agent.h"
 #include "overlay/forwarding_engine.h"
@@ -55,7 +54,6 @@ struct OverlayNodeConfig {
   Duration overload_check_interval = 5 * kSec;
   Duration unsubscribe_linger = 5 * kSec;  ///< idle time before unsub
   std::size_t packet_cache_gops = 2;
-  std::size_t frame_cache_gops = 3;
   std::uint32_t switch_stall_threshold = 2;  ///< stalls/report triggering switch
   std::uint32_t switch_skip_threshold = 8;  ///< frame gaps/report likewise
   Duration path_cache_ttl = 10 * kMin;  ///< pushed/cached path validity
@@ -99,12 +97,6 @@ class OverlayNode final : public sim::SimNode {
 
   void on_message(sim::NodeId from, const sim::MessagePtr& msg) override;
 
-  /// Batched delivery: media bursts skip the full dispatch ladder (RTP
-  /// is checked first and dominates a burst); the ForwardingEngine then
-  /// fuses their deferred fan-outs into one event per burst.
-  void on_message_batch(sim::NodeId from, const sim::MessagePtr* msgs,
-                        std::size_t n) override;
-
   // ------------------------------------------------------------- wiring
 
   /// Brain endpoint for registrations / reports / alarms.
@@ -146,7 +138,6 @@ class OverlayNode final : public sim::SimNode {
   }
   std::uint64_t view_requests() const { return session_.view_requests(); }
   const PacketGopCache& packet_cache() const { return recovery_.cache(); }
-  const media::GopCache* gop_cache(media::StreamId s) const;
   const OverlayNodeConfig& config() const { return cfg_; }
 
   /// Whether this node currently carries the stream (producer or

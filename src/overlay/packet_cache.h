@@ -7,9 +7,8 @@
 
 #include "media/rtp.h"
 
-// Packet-granularity GoP cache. The frame-level media::GopCache answers
-// "what content do we have"; this cache holds the actual RTP packets
-// (in seq order, as delivered by the slow path) so that a node can
+// Packet-granularity GoP cache. It holds the actual RTP packets (in
+// seq order, as delivered by the slow path) so that a node can
 // burst everything from the latest I-frame boundary to a new subscriber
 // — the fast-startup mechanism of §5.1 and the cache-hit response
 // during path establishment in §4.4.

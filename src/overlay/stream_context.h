@@ -1,11 +1,8 @@
 #pragma once
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "media/framer.h"
-#include "media/gop_cache.h"
 #include "overlay/path.h"
 #include "overlay/records.h"
 #include "overlay/stream_fib.h"
@@ -55,13 +52,6 @@ struct StreamContext {
   StreamFib::Entry fib;
   bool fib_active = false;
 
-  // ------------------------------------------------- recovery / media
-  /// Frame reassembly + frame-granularity GoP cache. Created lazily by
-  /// the node's ensure-media step (the packet-granularity GoP cache is
-  /// per-node, inside RecoveryEngine). Null until then.
-  std::unique_ptr<media::Framer> framer;
-  media::GopCache gop_cache;
-
   // ----------------------------------------------------------- control
   bool establishing = false;       ///< subscribe sent, ack outstanding
   std::vector<Path> cached_paths;  ///< local path cache (lookup or push)
@@ -91,8 +81,6 @@ struct StreamContext {
 
   // ----------------------------------------------------------- session
   std::vector<PendingView> pending_views;
-
-  bool has_media() const { return framer != nullptr; }
 };
 
 /// The single per-stream lookup. Exposes two views:

@@ -35,7 +35,6 @@ EventId EventLoop::schedule_at(Time when, Callback cb) {
   Node& n = node(slot);
   n.cb = std::move(cb);
   queue_.push(Entry{when, next_seq_++, slot, n.gen});
-  ++schedule_count_;
   ++live_count_;
   if (live_count_ > peak_live_) peak_live_ = live_count_;
   return (static_cast<EventId>(n.gen) << 32) | slot;
@@ -44,32 +43,6 @@ EventId EventLoop::schedule_at(Time when, Callback cb) {
 EventId EventLoop::schedule_after(Duration delay, Callback cb) {
   if (delay < 0) delay = 0;
   return schedule_at(now_ + delay, std::move(cb));
-}
-
-EventId EventLoop::schedule_at_seq(Time when, std::uint64_t seq, Callback cb) {
-  if (when < now_) when = now_;
-  const std::uint32_t slot = acquire_slot();
-  Node& n = node(slot);
-  n.cb = std::move(cb);
-  queue_.push(Entry{when, seq, slot, n.gen});
-  ++schedule_count_;
-  ++live_count_;
-  if (live_count_ > peak_live_) peak_live_ = live_count_;
-  return (static_cast<EventId>(n.gen) << 32) | slot;
-}
-
-bool EventLoop::next_is_after(Time when, std::uint64_t seq) {
-  prune();
-  if (queue_.empty()) return true;
-  const Entry& top = queue_.top();
-  if (top.when != when) return top.when > when;
-  return top.seq > seq;
-}
-
-void EventLoop::advance_to(Time t) {
-  if (t <= now_) return;
-  now_ = t;
-  Logger::set_now(now_);
 }
 
 void EventLoop::cancel(EventId id) {
@@ -89,7 +62,7 @@ void EventLoop::cancel(EventId id) {
 
 void EventLoop::prune() {
   // Zombies exist only after a cancel(); the counter lets the hot
-  // next_is_after/idle_at guards skip the slab lookup entirely.
+  // dispatch path skip the slab lookup entirely.
   if (zombies_ == 0) return;
   while (!queue_.empty()) {
     const Entry& top = queue_.top();
@@ -119,11 +92,6 @@ bool EventLoop::dispatch_next() {
 }
 
 void EventLoop::run_until(Time until_time) {
-  // Publish the bound so callbacks that fuse future work (batched
-  // delivery) stop exactly where separate events would have stopped.
-  // Saved/restored to keep nested run_until calls correct.
-  const Time saved_horizon = horizon_;
-  horizon_ = until_time;
   for (;;) {
     prune();
     if (queue_.empty() || queue_.top().when > until_time) break;
@@ -133,7 +101,6 @@ void EventLoop::run_until(Time until_time) {
     now_ = until_time;
     Logger::set_now(now_);
   }
-  horizon_ = saved_horizon;
 }
 
 void EventLoop::run() {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -49,69 +48,10 @@ class EventLoop {
   /// returns, not when the event's timestamp comes up.
   void cancel(EventId id);
 
-  // ---- Batched-delivery support (see DESIGN.md "Batched delivery").
-  //
-  // Batching must not change dispatch order: a component that wants to
-  // process several items inside one callback has to prove each extra
-  // item would have run next anyway had it been a separate event. The
-  // four hooks below give it the pieces: reserve the item's FIFO
-  // position at creation time, later materialise an event at exactly
-  // that (time, seq) slot, peek whether a hypothetical entry would beat
-  // everything still queued, and advance the clock between fused items.
-
-  /// Reserves the next FIFO sequence number without scheduling. The
-  /// caller owns the slot in the global (time, seq) order and may later
-  /// attach an event to it with schedule_at_seq() — or never, if the
-  /// item gets fused into an earlier callback.
-  std::uint64_t reserve_seq() { return next_seq_++; }
-
-  /// The seq the next schedule/reservation would take. Two equal reads
-  /// bracket a window in which nothing was scheduled — which proves no
-  /// event can order between items created in that window.
+  /// The seq the next schedule would take. Two equal reads bracket a
+  /// window in which nothing was scheduled — which proves no event can
+  /// order between items created in that window.
   std::uint64_t seq_cursor() const { return next_seq_; }
-
-  /// Schedules cb at `when` under a seq previously obtained from
-  /// reserve_seq(). The event dispatches exactly where a schedule_at()
-  /// issued at reservation time would have. `when` must be >= now().
-  EventId schedule_at_seq(Time when, std::uint64_t seq, Callback cb);
-
-  /// True if a hypothetical entry (when, seq) would dispatch before
-  /// every pending event (zombies pruned). when must be >= now().
-  bool next_is_after(Time when, std::uint64_t seq);
-
-  /// True if nothing pending (zombies pruned) is due at or before t —
-  /// i.e. a freshly scheduled event at t would dispatch next.
-  bool idle_at(Time t) { return next_is_after(t, kMaxSeq); }
-
-  /// Count of schedule_at/schedule_at_seq calls so far. Unlike
-  /// seq_cursor(), reserve_seq() does not move it: an unchanged value
-  /// proves nothing new entered the queue (a cached idle_at() verdict
-  /// is still valid; cancels only make the loop more idle).
-  std::uint64_t schedule_count() const { return schedule_count_; }
-
-  /// Peeks the next live event's (when, seq) without dispatching;
-  /// false if nothing is pending. Lets a caller that knows the queue
-  /// cannot change (no dispatch, no scheduling) hoist the comparison
-  /// out of a loop instead of calling next_is_after per element.
-  bool peek_next(Time* when, std::uint64_t* seq) {
-    prune();
-    if (queue_.empty()) return false;
-    *when = queue_.top().when;
-    *seq = queue_.top().seq;
-    return true;
-  }
-
-  /// Moves virtual time forward from inside a callback (fused items at
-  /// later instants). t must satisfy now() <= t <= horizon() and must
-  /// not overtake any pending event (callers prove this with
-  /// next_is_after before fusing).
-  void advance_to(Time t);
-
-  /// Upper bound of the innermost active run_until() — events fused
-  /// past it must be deferred, exactly as run_until() would have left
-  /// them queued. kNoHorizon while in run()/step() or outside the loop.
-  static constexpr Time kNoHorizon = std::numeric_limits<Time>::max();
-  Time horizon() const { return horizon_; }
 
   /// Runs until the queue drains or until_time is passed (whichever is
   /// first). Events at exactly until_time still run, and now() advances
@@ -168,15 +108,10 @@ class EventLoop {
   bool dispatch_next();
   void prune();
 
-  static constexpr std::uint64_t kMaxSeq =
-      std::numeric_limits<std::uint64_t>::max();
-
   Time now_ = 0;
-  Time horizon_ = kNoHorizon;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::size_t live_count_ = 0;
-  std::uint64_t schedule_count_ = 0;
   std::size_t peak_live_ = 0;
   /// Stale queue entries left behind by cancel(); prune() is a no-op
   /// while this is zero.

@@ -41,11 +41,6 @@ const Network::Edge* Network::find_edge(NodeId src, NodeId dst) const {
   return &row[idx[p]];
 }
 
-Network::Edge* Network::find_edge(NodeId src, NodeId dst) {
-  return const_cast<Edge*>(
-      static_cast<const Network*>(this)->find_edge(src, dst));
-}
-
 Link* Network::lookup(NodeId src, NodeId dst) const {
   const Edge* e = find_edge(src, dst);
   return e != nullptr ? e->link.get() : nullptr;
@@ -82,22 +77,17 @@ Link* Network::add_link_impl(NodeId src, NodeId dst, const LinkConfig& cfg,
   auto& idx = row_index_[static_cast<std::size_t>(src)];
   const std::size_t p = index_pos(src, dst);
   if (p < idx.size() && row[idx[p]].dst == dst) {
-    // Replace in place; the inbox (and any in-flight deliveries) stays,
-    // matching the old behaviour where already-scheduled deliveries
-    // were unaffected by a link swap.
+    // Replace in place; in-flight deliveries are already scheduled
+    // events and are unaffected by a link swap.
     row[idx[p]].link = std::move(link_ptr);
   } else {
     idx.insert(idx.begin() + static_cast<std::ptrdiff_t>(p),
                static_cast<std::uint32_t>(row.size()));
-    auto inbox = std::make_unique<Inbox>();
-    inbox->src = src;
-    inbox->dst = dst;
-    row.push_back(Edge{dst, std::move(link_ptr), std::move(inbox)});
+    row.push_back(Edge{dst, std::move(link_ptr)});
   }
   if (src < frozen_n_ && dst < frozen_n_) {
-    const Edge& e = row[idx[index_pos(src, dst)]];
     matrix_[static_cast<std::size_t>(src) * static_cast<std::size_t>(frozen_n_) +
-            static_cast<std::size_t>(dst)] = Route{raw, e.inbox.get()};
+            static_cast<std::size_t>(dst)] = raw;
   }
   return raw;
 }
@@ -110,37 +100,18 @@ void Network::add_bidi_link(NodeId a, NodeId b, const LinkConfig& cfg) {
 void Network::freeze_topology() {
   frozen_n_ = static_cast<NodeId>(nodes_.size());
   const auto n = static_cast<std::size_t>(frozen_n_);
-  matrix_.assign(n * n, Route{});
+  matrix_.assign(n * n, nullptr);
   for (std::size_t src = 0; src < rows_.size() && src < n; ++src) {
     for (const auto& e : rows_[src]) {
       if (e.dst >= 0 && static_cast<std::size_t>(e.dst) < n) {
-        matrix_[src * n + static_cast<std::size_t>(e.dst)] =
-            Route{e.link.get(), e.inbox.get()};
+        matrix_[src * n + static_cast<std::size_t>(e.dst)] = e.link.get();
       }
     }
   }
 }
 
 SendResult Network::send_ex(NodeId src, NodeId dst, MessagePtr msg) {
-  // Hot path: frozen core pairs resolve with one indexed load.
-  Link* l;
-  Inbox* ib;
-  if (static_cast<std::uint32_t>(src) < static_cast<std::uint32_t>(frozen_n_) &&
-      static_cast<std::uint32_t>(dst) < static_cast<std::uint32_t>(frozen_n_)) {
-    const Route& r = matrix_[static_cast<std::size_t>(src) *
-                                 static_cast<std::size_t>(frozen_n_) +
-                             static_cast<std::size_t>(dst)];
-    l = r.link;
-    ib = r.inbox;
-    // The dense matrix must never shadow the authoritative rows: every
-    // add_link on a frozen pair updates both.
-    assert(l == lookup(src, dst) &&
-           "frozen matrix out of sync with sorted-row index");
-  } else {
-    Edge* e = find_edge(src, dst);
-    l = e != nullptr ? e->link.get() : nullptr;
-    ib = e != nullptr ? e->inbox.get() : nullptr;
-  }
+  Link* l = link(src, dst);
   if (l == nullptr) {
     // Routing miss: reason-coded drop, never an abort. A bad partition
     // map (or any post-freeze misroute) shows up as kNoRoute drops that
@@ -186,189 +157,38 @@ SendResult Network::send_ex(NodeId src, NodeId dst, MessagePtr msg) {
   const Time arrival = std::max(res.arrival_time, loop_->now());
   if (region_of_ != nullptr && region_of_[src] != region_of_[dst]) {
     // Region boundary: hand the delivered packet to the sharded runtime
-    // instead of the local inbox. Taken for *every* cross-region send,
-    // in single-shard runs too — the delivery path must not depend on
-    // the shard count or the goldens would.
+    // instead of delivering it locally. Taken for *every* cross-region
+    // send, in single-shard runs too — the delivery path must not depend
+    // on the shard count or the goldens would.
     xregion_(src, dst, arrival, std::move(msg));
     return res;
   }
-  // Reserve the packet's dispatch slot now — exactly the seq the old
-  // per-packet schedule_at would have consumed — and park it in the
-  // link's inbox.
-  enqueue_delivery(ib, arrival, loop_->reserve_seq(), std::move(msg));
+  // One event per packet, sequenced now: same-instant arrivals are
+  // delivered in send order.
+  loop_->schedule_at(arrival, [this, src, dst, m = std::move(msg)] {
+    deliver(src, dst, m);
+  });
   return res;
 }
 
 void Network::deliver_remote(NodeId src, NodeId dst, Time arrival,
                              MessagePtr msg) {
+  loop_->schedule_at(arrival, [this, src, dst, m = std::move(msg)] {
+    deliver(src, dst, m);
+  });
+}
+
+void Network::deliver(NodeId src, NodeId dst, const MessagePtr& msg) {
   SimNode* receiver = node(dst);
   if (receiver == nullptr) {
-    LIVENET_LOG(kError) << "deliver_remote: no node " << dst << " for "
-                        << src << "->" << dst;
+    // A link to an unregistered (or remote) node: drop the traffic
+    // loudly rather than crash on the upcall.
+    LIVENET_LOG(kError) << "deliver: no node " << dst << " for link " << src
+                        << "->" << dst;
     return;
   }
-  loop_->schedule_at(arrival, [receiver, src, m = std::move(msg)] {
-    MessagePtr one = m;
-    receiver->on_message_batch(src, &one, 1);
-  });
-}
-
-void Network::schedule_flush(Inbox* ib, Time when, std::uint64_t seq) {
-  ib->flush = loop_->schedule_at_seq(when, seq, [this, ib] {
-    ib->flush = kInvalidEvent;
-    drain(ib);
-  });
-  ib->flush_at = when;
-  ib->flush_seq = seq;
-}
-
-void Network::Inbox::push(Time arrival, std::uint64_t seq, MessagePtr msg) {
-  if (!heaped) {
-    if (!draining && head != 0 && ms.size() == ms.capacity()) {
-      // Amortized compaction: a never-quite-empty inbox must not grow
-      // its consumed prefix without bound. (Never while a drain slice
-      // of this inbox is live in an upcall — it would move under it.)
-      key.erase(key.begin(), key.begin() + head);
-      ms.erase(ms.begin(), ms.begin() + head);
-      head = 0;
-    }
-    const bool in_order = ms.size() == head || key.back().at < arrival ||
-                          (key.back().at == arrival && key.back().seq < seq);
-    if (in_order && !(draining && ms.size() == ms.capacity())) {
-      key.push_back(Key{arrival, seq});
-      ms.push_back(std::move(msg));
-      return;
-    }
-    // Out-of-order arrival (jitter reorder) — or an append that would
-    // reallocate while this inbox's drain slice is live in an upcall:
-    // move the live suffix into the heap and stay there until the
-    // inbox drains empty. The consumed prefix [0, head) — including a
-    // mid-upcall slice — stays in place.
-    for (std::size_t i = head; i < ms.size(); ++i) {
-      hq.push_back(Pending{key[i].at, key[i].seq, std::move(ms[i])});
-    }
-    key.resize(head);
-    ms.resize(head);
-    hq.push_back(Pending{arrival, seq, std::move(msg)});
-    std::make_heap(hq.begin(), hq.end(), PendingAfter{});
-    heaped = true;
-    return;
-  }
-  hq.push_back(Pending{arrival, seq, std::move(msg)});
-  std::push_heap(hq.begin(), hq.end(), PendingAfter{});
-}
-
-MessagePtr Network::Inbox::pop_min() {
-  std::pop_heap(hq.begin(), hq.end(), PendingAfter{});
-  MessagePtr m = std::move(hq.back().msg);
-  hq.pop_back();
-  if (hq.empty()) heaped = false;  // re-enter the sorted fast path
-  return m;
-}
-
-void Network::enqueue_delivery(Inbox* ib, Time arrival, std::uint64_t seq,
-                               MessagePtr msg) {
-  ib->push(arrival, seq, std::move(msg));
-  const Time head_at = ib->front_arrival();
-  const std::uint64_t head_seq = ib->front_seq();
-  if (ib->flush != kInvalidEvent) {
-    if (head_at == ib->flush_at && head_seq == ib->flush_seq) return;
-    // Jitter reordering put a new packet ahead of the scheduled head:
-    // move the flush event to the new head's dispatch slot.
-    loop_->cancel(ib->flush);
-  }
-  schedule_flush(ib, head_at, head_seq);
-}
-
-void Network::drain(Inbox* ib) {
-  SimNode* receiver = node(ib->dst);
-  if (receiver == nullptr) {
-    // A link to an unregistered node: drop the traffic loudly rather
-    // than crash on the upcall.
-    LIVENET_LOG(kError) << "drain: no node " << ib->dst << " for link "
-                        << ib->src << "->" << ib->dst;
-    ib->clear();
-    return;
-  }
-  const Time start = loop_->now();
-  std::uint32_t budget = std::max<std::uint32_t>(batch_.max_packets, 1);
-  for (;;) {
-    // Take the maximal fusable run at the front entry's instant. The
-    // first entry of a run needs no proof: the flush event is
-    // dispatching at exactly its (arrival, seq) slot (first run), or
-    // the loop bottom just proved it next (later runs). Every other
-    // entry is taken only if the loop proves a dedicated event at its
-    // (arrival, seq) would run next anyway.
-    const Time t = ib->front_arrival();
-    loop_->advance_to(t);
-    if (!ib->heaped) {
-      // Sorted fast path: the run [begin, end) is a contiguous
-      // MessagePtr slice — hand it to the receiver in place, no pops,
-      // no element moves. head advances first so a push() from inside
-      // the upcall cannot disturb the slice.
-      const std::uint32_t begin = ib->head;
-      std::uint32_t end = begin + 1;
-      --budget;
-      if (budget != 0 && end < ib->ms.size() && ib->key[end].at == t) {
-        // The event queue cannot change during the scan (no dispatch,
-        // no scheduling): hoist its top out of the per-entry guard.
-        // Keys are sorted, so the scan stops exactly where per-entry
-        // next_is_after(t, seq) calls would have.
-        Time top_at;
-        std::uint64_t top_seq;
-        if (!loop_->peek_next(&top_at, &top_seq) || top_at > t) {
-          while (budget != 0 && end < ib->ms.size() &&
-                 ib->key[end].at == t) {
-            ++end;
-            --budget;
-          }
-        } else if (top_at == t) {
-          while (budget != 0 && end < ib->ms.size() &&
-                 ib->key[end].at == t && ib->key[end].seq < top_seq) {
-            ++end;
-            --budget;
-          }
-        }
-      }
-      ib->head = end;
-      ib->draining = true;
-      ++batch_upcalls_;
-      batch_packets_ += end - begin;
-      receiver->on_message_batch(ib->src, ib->ms.data() + begin, end - begin);
-      ib->draining = false;
-      // Release the slice refs now, not at the next drain.
-      for (std::uint32_t i = begin; i < end; ++i) ib->ms[i].reset();
-      if (!ib->heaped && ib->head == ib->ms.size()) {
-        ib->key.clear();
-        ib->ms.clear();
-        ib->head = 0;
-      }
-    } else {
-      while (budget != 0 && !ib->empty() && ib->front_arrival() == t) {
-        if (!scratch_.empty() && !loop_->next_is_after(t, ib->front_seq())) {
-          break;
-        }
-        scratch_.push_back(ib->pop_min());
-        --budget;
-      }
-      ++batch_upcalls_;
-      batch_packets_ += scratch_.size();
-      receiver->on_message_batch(ib->src, scratch_.data(), scratch_.size());
-      scratch_.clear();  // release the refs now, not at the next drain
-    }
-    if (ib->empty()) return;
-    // Continue into the next arrival instant only while within the
-    // batch bounds, inside the active run horizon, and provably next in
-    // the global dispatch order. Re-read the front: the upcall may have
-    // pushed new packets.
-    const Time na = ib->front_arrival();
-    const std::uint64_t ns = ib->front_seq();
-    if (budget == 0 || na - start > batch_.quantum || na > loop_->horizon() ||
-        !loop_->next_is_after(na, ns)) {
-      schedule_flush(ib, na, ns);
-      return;
-    }
-  }
+  ++delivered_;
+  receiver->on_message(src, msg);
 }
 
 Link* Network::link(NodeId src, NodeId dst) {
@@ -377,15 +197,17 @@ Link* Network::link(NodeId src, NodeId dst) {
 }
 
 const Link* Network::link(NodeId src, NodeId dst) const {
-  // Same fast path as send(): frozen pairs resolve through the matrix.
+  // Hot path: frozen core pairs resolve with one indexed load.
   if (static_cast<std::uint32_t>(src) < static_cast<std::uint32_t>(frozen_n_) &&
       static_cast<std::uint32_t>(dst) < static_cast<std::uint32_t>(frozen_n_)) {
-    const Route& r = matrix_[static_cast<std::size_t>(src) *
-                                 static_cast<std::size_t>(frozen_n_) +
-                             static_cast<std::size_t>(dst)];
-    assert(r.link == lookup(src, dst) &&
+    Link* l = matrix_[static_cast<std::size_t>(src) *
+                          static_cast<std::size_t>(frozen_n_) +
+                      static_cast<std::size_t>(dst)];
+    // The dense matrix must never shadow the authoritative rows: every
+    // add_link on a frozen pair updates both.
+    assert(l == lookup(src, dst) &&
            "frozen matrix out of sync with sorted-row index");
-    return r.link;
+    return l;
   }
   return lookup(src, dst);
 }

@@ -13,39 +13,20 @@
 
 // The simulated network: a registry of nodes and directed links plus the
 // delivery machinery. send() runs the packet through the link model and
-// hands it to the per-link delivery inbox; the receiver's upcall runs at
-// the computed arrival time.
-//
-// Delivery is *batched*: each link keeps an inbox of in-flight packets
-// ordered by (arrival, seq) and the loop carries one flush event per
-// non-empty inbox, pinned at the head packet's exact dispatch slot.
-// When the flush fires, consecutive packets are handed to the receiver
-// through on_message_batch() — fused into the same callback only when
-// the event loop proves a dedicated event for them would have run next
-// anyway (EventLoop::next_is_after), so the global dispatch order is
-// bit-identical to one-event-per-packet delivery for every quantum
-// setting. See DESIGN.md "Batched delivery".
+// schedules the receiver's upcall as one loop event at the computed
+// arrival time. The event takes its loop seq at send time, so packets
+// due at the same instant are delivered in send order, across links as
+// well as within one (see DESIGN.md "Delivery order").
 //
 // Link lookup is structured for the per-packet hot path. Links live in
 // per-source rows (insertion-ordered, so neighbors() is deterministic)
 // with a per-row index sorted by destination for O(log n) lookup. Once
 // the static topology is built, freeze_topology() snapshots a dense
-// (src, dst) -> {Link*, Inbox*} matrix over the first N node ids: every
+// (src, dst) -> Link* matrix over the first N node ids: every
 // core-to-core send after that is a single indexed load, no hashing.
 // Nodes and links added later (clients attach at runtime) fall back to
 // the row index transparently.
 namespace livenet::sim {
-
-/// Delivery batching bounds. `quantum` is how far past the batch head's
-/// arrival a later packet on the same link may still be fused into the
-/// same flush callback; `max_packets` caps one callback's packet count.
-/// The bounds limit *callback granularity only* — upcall times and
-/// order are invariant across settings. {0, 1} degenerates to one
-/// upcall per packet (the pre-batching behaviour).
-struct DeliveryBatch {
-  Duration quantum = 1 * kMs;
-  std::uint32_t max_packets = 64;
-};
 
 class Network {
  public:
@@ -92,8 +73,7 @@ class Network {
 
   /// Sends msg from src to dst over the configured link. Returns false
   /// if no link exists or the packet was dropped/lost. On success the
-  /// receiver's upcall runs at the arrival time (possibly fused with
-  /// same-link neighbours into one on_message_batch call).
+  /// receiver's upcall runs at the arrival time.
   bool send(NodeId src, NodeId dst, MessagePtr msg) {
     return send_ex(src, dst, std::move(msg)).delivered;
   }
@@ -117,7 +97,7 @@ class Network {
 
   /// Sharded-run hook: a delivered send whose endpoints live in
   /// different regions is handed to `handoff` (with its computed
-  /// arrival time) instead of the local inbox — the sharded runtime
+  /// arrival time) instead of local delivery — the sharded runtime
   /// ferries it to the owning shard at the next window barrier.
   /// `region_of` must cover every NodeId and outlive the Network.
   /// Installed in every mode including single-shard runs, so the
@@ -131,22 +111,15 @@ class Network {
   }
 
   /// Delivers a ferried cross-region message: schedules the receiver
-  /// upcall at `arrival` with the given dispatch seq (reserved by the
-  /// caller in deterministic order). Bypasses inbox fusion in every
-  /// mode — cross-region traffic is rare and the bypass keeps S=1 and
-  /// S=N dispatch identical.
+  /// upcall at `arrival`. The sharded runtime calls this in a
+  /// deterministic order, so S=1 and S=N dispatch stay identical.
   void deliver_remote(NodeId src, NodeId dst, Time arrival, MessagePtr msg);
 
-  /// Delivery batching bounds (defaults on; {0, 1} restores one upcall
-  /// per packet). Takes effect for packets sent after the call.
-  void set_delivery_batch(const DeliveryBatch& b) { batch_ = b; }
-  const DeliveryBatch& delivery_batch() const { return batch_; }
-
-  /// Batching effectiveness counters (not in MetricsRegistry: they are
-  /// mechanical and intentionally vary across quantum settings, which
-  /// would defeat differential metrics comparisons).
-  std::uint64_t batch_upcalls() const { return batch_upcalls_; }
-  std::uint64_t batch_packets() const { return batch_packets_; }
+  /// Upcalls and packets delivered so far. Every upcall carries exactly
+  /// one packet, so both read the same counter; they remain as the
+  /// per-upcall ratio the benchmark reports.
+  std::uint64_t batch_upcalls() const { return delivered_; }
+  std::uint64_t batch_packets() const { return delivered_; }
 
   /// Link accessor (nullptr if absent).
   Link* link(NodeId src, NodeId dst);
@@ -165,88 +138,9 @@ class Network {
   std::uint64_t total_bytes_sent() const;
 
  private:
-  /// One in-flight packet: its arrival time and the loop seq reserved
-  /// at send time (= the dispatch slot the pre-batching code's
-  /// schedule_at would have consumed).
-  struct Pending {
-    Time arrival;
-    std::uint64_t seq;
-    MessagePtr msg;
-  };
-  /// Min-heap order on (arrival, seq). A heap, not FIFO: per-packet
-  /// jitter means later sends can arrive earlier.
-  struct PendingAfter {
-    bool operator()(const Pending& a, const Pending& b) const {
-      if (a.arrival != b.arrival) return a.arrival > b.arrival;
-      return a.seq > b.seq;
-    }
-  };
-  /// Per-link delivery inbox. At most one flush event is pending per
-  /// inbox, pinned at the front entry's (arrival, seq).
-  ///
-  /// Storage is mostly-sorted-aware: arrivals on one link are almost
-  /// always pushed in (arrival, seq) order — per-packet jitter is the
-  /// only reorder source — so entries live in append-sorted parallel
-  /// arrays (SoA) with a consumed-prefix cursor. A same-instant run is
-  /// then a contiguous MessagePtr slice handed to the receiver upcall
-  /// directly: no per-packet pops, no element moves. The first
-  /// out-of-order push converts the live suffix into an (arrival, seq)
-  /// min-heap (AoS); heap mode sticks until the inbox drains empty.
-  /// Pop order is identical in both modes.
-  /// (arrival, seq) dispatch key of one in-flight packet.
-  struct Key {
-    Time at;
-    std::uint64_t seq;
-  };
-  struct Inbox {
-    NodeId src = kNoNode;
-    NodeId dst = kNoNode;
-    // Sorted mode: parallel arrays, live entries in [head, size).
-    std::vector<Key> key;
-    std::vector<MessagePtr> ms;
-    std::uint32_t head = 0;
-    // Heap mode: (arrival, seq) min-heap; the sorted arrays hold only
-    // an already-consumed prefix while it is active.
-    std::vector<Pending> hq;
-    bool heaped = false;
-    /// True while a sorted-mode slice of this inbox is live in a
-    /// receiver upcall; push() then must not move it (no compaction,
-    /// no reallocation — a growth that would reallocate converts to
-    /// heap mode instead, which leaves the consumed prefix in place).
-    bool draining = false;
-    EventId flush = kInvalidEvent;
-    Time flush_at = 0;
-    std::uint64_t flush_seq = 0;
-
-    bool empty() const { return heaped ? hq.empty() : ms.size() == head; }
-    Time front_arrival() const {
-      return heaped ? hq.front().arrival : key[head].at;
-    }
-    std::uint64_t front_seq() const {
-      return heaped ? hq.front().seq : key[head].seq;
-    }
-    void push(Time arrival, std::uint64_t seq, MessagePtr msg);
-    /// Heap-mode pop (sorted-mode runs are consumed as slices in drain).
-    MessagePtr pop_min();
-    void clear() {
-      key.clear();
-      ms.clear();
-      head = 0;
-      hq.clear();
-      heaped = false;
-    }
-  };
   struct Edge {
     NodeId dst;
     std::unique_ptr<Link> link;
-    /// unique_ptr: the row vector reallocates as links are added, but
-    /// flush events and the matrix hold raw Inbox pointers.
-    std::unique_ptr<Inbox> inbox;
-  };
-  /// Dense matrix cell (one indexed load resolves both).
-  struct Route {
-    Link* link = nullptr;
-    Inbox* inbox = nullptr;
   };
 
   /// Finds src's edge to dst via the sorted row index; returns the
@@ -254,29 +148,20 @@ class Network {
   std::size_t index_pos(NodeId src, NodeId dst) const;
   Link* add_link_impl(NodeId src, NodeId dst, const LinkConfig& cfg, Rng rng);
   Link* lookup(NodeId src, NodeId dst) const;
-  Edge* find_edge(NodeId src, NodeId dst);
   const Edge* find_edge(NodeId src, NodeId dst) const;
-  void enqueue_delivery(Inbox* ib, Time arrival, std::uint64_t seq,
-                        MessagePtr msg);
-  void schedule_flush(Inbox* ib, Time when, std::uint64_t seq);
-  void drain(Inbox* ib);
+  /// Delivery event body: the receiver's upcall for one packet.
+  void deliver(NodeId src, NodeId dst, const MessagePtr& msg);
 
   EventLoop* loop_;
   Rng rng_;
-  DeliveryBatch batch_;
   std::vector<SimNode*> nodes_;
   std::vector<std::vector<Edge>> rows_;  ///< per-src, insertion order
   /// Per-src positions into rows_[src], sorted by Edge::dst.
   std::vector<std::vector<std::uint32_t>> row_index_;
   /// Dense frozen-core index: matrix_[src * frozen_n_ + dst].
-  std::vector<Route> matrix_;
+  std::vector<Link*> matrix_;
   NodeId frozen_n_ = 0;
-  /// Scratch for one batch upcall (single-threaded; drains never nest:
-  /// an upcall can enqueue new deliveries but those only schedule
-  /// events, they never re-enter drain synchronously).
-  std::vector<MessagePtr> scratch_;
-  std::uint64_t batch_upcalls_ = 0;
-  std::uint64_t batch_packets_ = 0;
+  std::uint64_t delivered_ = 0;
   RouteMissPolicy route_miss_policy_ = RouteMissPolicy::kStrict;
   std::uint64_t route_misses_ = 0;
   /// Sharded-run region map + boundary handoff (null when unsharded).

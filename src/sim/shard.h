@@ -35,8 +35,8 @@
 // goldens, so the boundary path is taken for every cross-REGION message
 // in every mode — including S = 1 — and integration is keyed purely on
 // region-level identities: entries sort by (arrival, src region,
-// per-region emission counter) before delivery, and delivered messages
-// bypass inbox fusion (one plain event each). Within a window regions
+// per-region emission counter) before delivery, each as one plain loop
+// event, like every local delivery. Within a window regions
 // are causally independent, so each region's dispatch sequence — and
 // therefore its emission counters and all of its state — is identical
 // whether its loop hosts one region or many. See DESIGN.md "Sharded

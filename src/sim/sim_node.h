@@ -13,18 +13,6 @@ class SimNode {
   /// Delivery upcall: `msg` arrived from `from` over the connecting link.
   virtual void on_message(NodeId from, const MessagePtr& msg) = 0;
 
-  /// Batched delivery upcall: `n` messages from `from` over one link,
-  /// in arrival order, all due at the current virtual time. The default
-  /// processes them one by one; nodes with a per-packet hot path may
-  /// override to amortise per-burst work. Overrides must preserve the
-  /// per-message semantics of on_message in order (the network layer
-  /// guarantees the grouping itself is order-neutral — see DESIGN.md
-  /// "Batched delivery").
-  virtual void on_message_batch(NodeId from, const MessagePtr* msgs,
-                                std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) on_message(from, msgs[i]);
-  }
-
   NodeId node_id() const { return id_; }
 
   /// Set once by Network::add_node; nodes must not change it.

@@ -86,71 +86,40 @@ void Pacer::arm() {
 
 void Pacer::fire() {
   const Time now = loop_->now();
-  // Bound the idle credit *here*, where it is actually spent: the send
-  // clock may lag `now` by at most max_burst, so a long-quiet pacer
-  // catches up with a bounded back-to-back burst instead of either an
-  // unbounded one or (the old accidental behaviour) none at all.
-  if (next_send_ok_ < now - cfg_.max_burst) {
-    next_send_ok_ = now - cfg_.max_burst;
+  // No idle credit: a quiet pacer restarts its send clock at `now`.
+  if (next_send_ok_ < now) next_send_ok_ = now;
+  Queued e = pop_next();
+  RtpPacketPtr& pkt = e.pkt;
+  if (!pkt) return;  // queue drained; nothing to re-arm
+  const double gain =
+      pkt->frame_type() == media::FrameType::kI ? cfg_.i_frame_gain : 1.0;
+  // Memoized pacing interval: consecutive packets almost always share
+  // (wire size, gain, rate), so the divide chain is replaced by three
+  // compares on the hot path. Bit-identical — a miss runs the exact
+  // same expression.
+  const std::size_t wsz = e.bytes;
+  Duration interval;
+  if (wsz == memo_bytes_ && gain == memo_gain_ &&
+      cfg_.rate_bps == memo_rate_) {
+    interval = memo_interval_;
+  } else {
+    interval = static_cast<Duration>(
+        static_cast<double>(wsz) * 8.0 /
+        (cfg_.rate_bps * gain) * static_cast<double>(kSec));
+    memo_bytes_ = wsz;
+    memo_gain_ = gain;
+    memo_rate_ = cfg_.rate_bps;
+    memo_interval_ = interval;
   }
-  std::uint32_t sent = 0;
-  const std::uint32_t burst_cap = std::max<std::uint32_t>(cfg_.max_burst_packets, 1);
-  // Cached idleness probe for the fusion guard below. A true verdict
-  // stays valid while the loop's schedule count is unchanged (only a
-  // schedule can add pending work; a cancel can only make the loop
-  // *more* idle, and a stale false merely stops the fused drain early
-  // — safe, and identical to re-arming per packet).
-  bool idle = false;
-  std::uint64_t idle_stamp = 0;
-  bool idle_known = false;
-  while (next_send_ok_ <= now && sent < burst_cap) {
-    Queued e = pop_next();
-    RtpPacketPtr& pkt = e.pkt;
-    if (!pkt) return;  // queue drained; nothing to re-arm
-    const double gain =
-        pkt->frame_type() == media::FrameType::kI ? cfg_.i_frame_gain : 1.0;
-    // Memoized pacing interval: consecutive packets almost always share
-    // (wire size, gain, rate), so the divide chain is replaced by three
-    // compares on the hot path. Bit-identical — a miss runs the exact
-    // same expression.
-    const std::size_t wsz = e.bytes;
-    Duration interval;
-    if (wsz == memo_bytes_ && gain == memo_gain_ &&
-        cfg_.rate_bps == memo_rate_) {
-      interval = memo_interval_;
-    } else {
-      interval = static_cast<Duration>(
-          static_cast<double>(wsz) * 8.0 /
-          (cfg_.rate_bps * gain) * static_cast<double>(kSec));
-      memo_bytes_ = wsz;
-      memo_gain_ = gain;
-      memo_rate_ = cfg_.rate_bps;
-      memo_interval_ = interval;
-    }
-    next_send_ok_ += interval;  // credit carries: no max() with now
-    ++packets_sent_;
-    ++sent;
-    if (net_ != nullptr) {
-      // Direct wire: stamp the per-hop departure time for the peer's
-      // GCC delay estimator, then hand the packet to the network.
-      pkt->hop_send_time = now;
-      net_->send(wire_src_, wire_dst_, std::move(pkt));
-    } else {
-      send_(std::move(pkt));
-    }
-    // Drain the next credit-covered packet in this same callback only
-    // if the loop is idle at `now` — otherwise a dedicated re-armed
-    // event (scheduled at now with a fresh, largest seq) would have
-    // dispatched *after* the pending work, so stop and re-arm to keep
-    // the batched drain order-identical to one-event-per-packet.
-    if (next_send_ok_ <= now && sent < burst_cap) {
-      if (!idle_known || loop_->schedule_count() != idle_stamp) {
-        idle_stamp = loop_->schedule_count();
-        idle = loop_->idle_at(now);
-        idle_known = true;
-      }
-      if (!idle) break;
-    }
+  next_send_ok_ += interval;
+  ++packets_sent_;
+  if (net_ != nullptr) {
+    // Direct wire: stamp the per-hop departure time for the peer's GCC
+    // delay estimator, then hand the packet to the network.
+    pkt->hop_send_time = now;
+    net_->send(wire_src_, wire_dst_, std::move(pkt));
+  } else {
+    send_(std::move(pkt));
   }
   arm();
 }

@@ -26,16 +26,6 @@ class Pacer {
     double rate_bps = 10e6;
     double i_frame_gain = 1.5;  ///< pacing gain while sending I frames
     std::size_t max_queue_bytes = 8 * 1024 * 1024;  ///< hard cap; drops video
-    /// Idle credit the pacer may burn as a back-to-back burst. Applied
-    /// as a clamp on the virtual send clock *at drain time* — clamping
-    /// at arm time (as the pre-batching code did) was dead: the fire
-    /// path immediately erased the credit with max(clock, now), so any
-    /// configured value behaved like 0. The default is 0 to keep that
-    /// effective behaviour; set > 0 to actually allow catch-up bursts.
-    Duration max_burst = 0;
-    /// Packet cap for one drain callback; a burst with remaining credit
-    /// beyond this re-arms at the same instant instead of looping on.
-    std::uint32_t max_burst_packets = 64;
   };
 
   /// By-value so the drain path can move the packet all the way to the

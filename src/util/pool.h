@@ -2,8 +2,10 @@
 
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <utility>
+#include <vector>
 
 // Freelist arenas for the simulator's per-packet hot path.
 //
@@ -21,6 +23,12 @@
 // (chunks are never unmapped, so the memory stays valid); the sharded
 // runtime still keeps object *ownership* single-threaded — only whole,
 // sole-owner handoffs cross a shard boundary.
+//
+// Because blocks migrate, a chunk cannot be freed when the thread that
+// carved it exits. Every chunk is instead recorded in one process-wide
+// list (appended under a mutex in refill(), the only slow path), so
+// chunks carved by short-lived shard threads stay reachable and leak
+// checkers do not report them.
 namespace livenet::util {
 
 /// Fixed-size block arena. All users of the same `Size` bucket share
@@ -59,6 +67,12 @@ class FreeListArena {
     static thread_local std::size_t chunk_nodes = 64;
     Node* chunk =
         static_cast<Node*>(::operator new(chunk_nodes * sizeof(Node)));
+    {
+      static std::mutex mu;
+      static std::vector<Node*>* chunks = new std::vector<Node*>();
+      const std::lock_guard<std::mutex> lock(mu);
+      chunks->push_back(chunk);
+    }
     for (std::size_t i = 0; i < chunk_nodes; ++i) {
       chunk[i].next = head_ref();
       head_ref() = &chunk[i];

@@ -214,58 +214,5 @@ TEST(EventLoop, EventsScheduledDuringDispatchRun) {
   EXPECT_EQ(loop.now(), 9);
 }
 
-// --------------------------------------- batched-delivery support API
-
-TEST(EventLoop, NextIsAfterOrdersByTimeThenSeq) {
-  EventLoop loop;
-  EXPECT_TRUE(loop.idle_at(1 * kSec));  // empty queue: nothing pending
-  const std::uint64_t s = loop.reserve_seq();
-  loop.schedule_at(10, [] {});  // consumes seq s + 1
-  EXPECT_TRUE(loop.next_is_after(9, s + 100));   // earlier instant
-  EXPECT_TRUE(loop.next_is_after(10, s));        // same instant, before
-  EXPECT_FALSE(loop.next_is_after(10, s + 1));   // the event itself
-  EXPECT_FALSE(loop.next_is_after(10, s + 2));   // same instant, after
-  EXPECT_FALSE(loop.idle_at(10));
-  EXPECT_TRUE(loop.idle_at(9));
-}
-
-TEST(EventLoop, NextIsAfterSeesThroughCancelledEvents) {
-  EventLoop loop;
-  const EventId a = loop.schedule_at(10, [] {});
-  loop.schedule_at(20, [] {});
-  loop.cancel(a);
-  EXPECT_TRUE(loop.idle_at(10));  // the zombie at 10 must be pruned
-  EXPECT_FALSE(loop.idle_at(20));
-}
-
-TEST(EventLoop, ScheduleAtSeqPinsDispatchOrder) {
-  EventLoop loop;
-  std::vector<int> order;
-  const std::uint64_t early = loop.reserve_seq();
-  loop.schedule_at(10, [&] { order.push_back(1); });
-  // Scheduled later but pinned at the earlier reserved slot: runs first.
-  loop.schedule_at_seq(10, early, [&] { order.push_back(0); });
-  loop.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(EventLoop, AdvanceToMovesNowAndHorizonTracksRunUntil) {
-  EventLoop loop;
-  EXPECT_EQ(loop.horizon(), EventLoop::kNoHorizon);
-  Time seen_horizon = 0;
-  Time seen_now = 0;
-  loop.schedule_at(10, [&] {
-    seen_horizon = loop.horizon();
-    loop.advance_to(15);
-    seen_now = loop.now();
-    loop.advance_to(5);  // never moves backwards
-  });
-  loop.run_until(20);
-  EXPECT_EQ(seen_horizon, 20);
-  EXPECT_EQ(seen_now, 15);
-  EXPECT_EQ(loop.now(), 20);
-  EXPECT_EQ(loop.horizon(), EventLoop::kNoHorizon);  // restored on exit
-}
-
 }  // namespace
 }  // namespace livenet::sim

@@ -191,24 +191,23 @@ TEST(Network, LinkAddedAfterFreezeIsRoutable) {
   EXPECT_EQ(d.arrivals.size(), 1u);
 }
 
-// ------------------------------------------------------ batched delivery
+// ------------------------------------------------------ delivery order
 
-/// Records upcall grouping alongside per-message arrival times.
-class BatchProbe final : public SimNode {
+/// Records each upcall's virtual time, sender and wire size.
+class TimedProbe final : public SimNode {
  public:
-  explicit BatchProbe(EventLoop* loop) : loop_(loop) {}
+  explicit TimedProbe(EventLoop* loop) : loop_(loop) {}
   void on_message(NodeId from, const MessagePtr& msg) override {
-    (void)msg;
-    arrivals.emplace_back(loop_->now(), from);
-  }
-  void on_message_batch(NodeId from, const MessagePtr* msgs,
-                        std::size_t n) override {
-    batch_sizes.push_back(n);
-    SimNode::on_message_batch(from, msgs, n);
+    arrivals.push_back(Arrival{loop_->now(), from, msg->wire_size()});
   }
 
-  std::vector<std::pair<Time, NodeId>> arrivals;
-  std::vector<std::size_t> batch_sizes;
+  struct Arrival {
+    Time at;
+    NodeId from;
+    std::size_t bytes;
+    bool operator==(const Arrival&) const = default;
+  };
+  std::vector<Arrival> arrivals;
 
  private:
   EventLoop* loop_;
@@ -223,120 +222,83 @@ LinkConfig instant_link() {
   return lc;
 }
 
-TEST(Network, SameInstantBurstGroupsIntoOneUpcall) {
+TEST(Network, LaterSendArrivingEarlierIsDeliveredFirst) {
   EventLoop loop;
   Network net(&loop);
   Probe a;
-  BatchProbe b(&loop);
-  net.add_node(&a);
-  net.add_node(&b);
-  net.add_link(0, 1, instant_link());
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(100)));
-  }
-  loop.run();
-  ASSERT_EQ(b.arrivals.size(), 5u);
-  for (const auto& [t, from] : b.arrivals) EXPECT_EQ(t, 10 * kMs);
-  ASSERT_EQ(b.batch_sizes.size(), 1u);
-  EXPECT_EQ(b.batch_sizes[0], 5u);
-  EXPECT_EQ(net.batch_upcalls(), 1u);
-  EXPECT_EQ(net.batch_packets(), 5u);
-}
-
-TEST(Network, QuantumZeroDegeneratesToPerPacketUpcalls) {
-  EventLoop loop;
-  Network net(&loop);
-  Probe a;
-  BatchProbe b(&loop);
-  net.add_node(&a);
-  net.add_node(&b);
-  net.add_link(0, 1, instant_link());
-  net.set_delivery_batch(DeliveryBatch{0, 1});
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(100)));
-  }
-  loop.run();
-  // Same arrivals at the same instants, one callback each.
-  ASSERT_EQ(b.arrivals.size(), 5u);
-  for (const auto& [t, from] : b.arrivals) EXPECT_EQ(t, 10 * kMs);
-  EXPECT_EQ(b.batch_sizes, std::vector<std::size_t>(5, 1));
-  EXPECT_EQ(net.batch_upcalls(), 5u);
-}
-
-TEST(Network, MaxPacketsBudgetSplitsTheBurst) {
-  EventLoop loop;
-  Network net(&loop);
-  Probe a;
-  BatchProbe b(&loop);
-  net.add_node(&a);
-  net.add_node(&b);
-  net.add_link(0, 1, instant_link());
-  net.set_delivery_batch(DeliveryBatch{1 * kMs, 2});
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(100)));
-  }
-  loop.run();
-  ASSERT_EQ(b.arrivals.size(), 5u);
-  for (const auto& [t, from] : b.arrivals) EXPECT_EQ(t, 10 * kMs);
-  EXPECT_EQ(b.batch_sizes, (std::vector<std::size_t>{2, 2, 1}));
-}
-
-TEST(Network, EarlierArrivalReschedulesPendingFlush) {
-  EventLoop loop;
-  Network net(&loop);
-  Probe a;
-  BatchProbe b(&loop);
+  TimedProbe b(&loop);
   net.add_node(&a);
   net.add_node(&b);
   Link* l = net.add_link(0, 1, instant_link());
   // First packet delayed by a degradation fault; the fault clears
-  // before the second send, so the later send arrives *earlier* — the
-  // inbox flush must move to the new head.
+  // before the second send, so the later send arrives *earlier*.
   l->set_extra_delay(5 * kMs);
   EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(100)));  // t = 15 ms
   l->set_extra_delay(0);
   EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(200)));  // t = 10 ms
   loop.run();
-  ASSERT_EQ(b.arrivals.size(), 2u);
-  EXPECT_EQ(b.arrivals[0].first, 10 * kMs);
-  EXPECT_EQ(b.arrivals[1].first, 15 * kMs);
-  EXPECT_EQ(b.batch_sizes, (std::vector<std::size_t>{1, 1}));
+  using A = TimedProbe::Arrival;
+  EXPECT_EQ(b.arrivals, (std::vector<A>{A{10 * kMs, 0, 200},
+                                         A{15 * kMs, 0, 100}}));
 }
 
-TEST(Network, MidBurstLinkFlapCountsDropsOncePerPacket) {
-  // The same send sequence with a link flap in the middle must produce
-  // identical drop counts and delivery times whatever the delivery
-  // quantum: drops are accounted at send time, exactly once, and
-  // batching is callback granularity only.
-  auto run = [](const DeliveryBatch& batch) {
-    EventLoop loop;
-    Network net(&loop);
-    Probe a;
-    BatchProbe b(&loop);
-    net.add_node(&a);
-    net.add_node(&b);
-    Link* l = net.add_link(0, 1, instant_link());
-    net.set_delivery_batch(batch);
-    const std::uint64_t down_before =
-        telemetry::handles().link_drops_down->value();
-    for (int i = 0; i < 5; ++i) net.send(0, 1, sim::make_message<Blob>(100));
-    l->set_down(true);  // flap strikes mid-burst
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_FALSE(net.send(0, 1, sim::make_message<Blob>(100)));
-    }
-    l->set_down(false);
-    for (int i = 0; i < 5; ++i) net.send(0, 1, sim::make_message<Blob>(100));
-    loop.run();
-    const std::uint64_t down_drops =
-        telemetry::handles().link_drops_down->value() - down_before;
-    return std::make_pair(b.arrivals, down_drops);
-  };
-  const auto batched = run(DeliveryBatch{});          // default: on
-  const auto per_packet = run(DeliveryBatch{0, 1});   // legacy granularity
-  EXPECT_EQ(batched.second, 5u);
-  EXPECT_EQ(per_packet.second, 5u);
-  EXPECT_EQ(batched.first, per_packet.first);
-  ASSERT_EQ(batched.first.size(), 10u);
+TEST(Network, LinkFlapMidBurstDropsEachPacketOnce) {
+  // Drops are accounted at send time, exactly once per packet; the
+  // packets sent around the flap all arrive, one upcall each.
+  EventLoop loop;
+  Network net(&loop);
+  Probe a;
+  TimedProbe b(&loop);
+  net.add_node(&a);
+  net.add_node(&b);
+  Link* l = net.add_link(0, 1, instant_link());
+  const std::uint64_t down_before =
+      telemetry::handles().link_drops_down->value();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(100 + i)));
+  }
+  l->set_down(true);  // flap strikes mid-burst
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(net.send(0, 1, sim::make_message<Blob>(200)));
+  }
+  l->set_down(false);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(net.send(0, 1, sim::make_message<Blob>(300 + i)));
+  }
+  loop.run();
+  EXPECT_EQ(telemetry::handles().link_drops_down->value() - down_before, 5u);
+  ASSERT_EQ(b.arrivals.size(), 10u);
+  for (std::size_t i = 0; i < b.arrivals.size(); ++i) {
+    EXPECT_EQ(b.arrivals[i].at, 10 * kMs);
+    EXPECT_EQ(b.arrivals[i].bytes, (i < 5 ? 100 : 295) + i);
+  }
+  EXPECT_EQ(net.batch_upcalls(), 10u);
+  EXPECT_EQ(net.batch_packets(), 10u);
+}
+
+TEST(Network, SameInstantArrivalsOnTwoLinksFollowSendOrder) {
+  // Two senders, one receiver, identical links: every packet is due at
+  // the same instant, and they must be delivered in the order sent,
+  // interleaved across the links.
+  EventLoop loop;
+  Network net(&loop);
+  Probe a;
+  Probe c;
+  TimedProbe b(&loop);
+  net.add_node(&a);
+  net.add_node(&b);
+  net.add_node(&c);
+  net.add_link(0, 1, instant_link());
+  net.add_link(2, 1, instant_link());
+  std::vector<TimedProbe::Arrival> sent;
+  for (int i = 0; i < 6; ++i) {
+    const NodeId from = i % 3 == 0 ? 2 : 0;
+    const std::size_t bytes = 100 + static_cast<std::size_t>(i);
+    EXPECT_TRUE(net.send(from, 1, sim::make_message<Blob>(bytes)));
+    sent.push_back(TimedProbe::Arrival{10 * kMs, from, bytes});
+  }
+  loop.run();
+  EXPECT_EQ(b.arrivals, sent);
 }
 
 }  // namespace

@@ -141,41 +141,9 @@ TEST(Pacer, DrainTimeTracksQueue) {
   EXPECT_NEAR(static_cast<double>(pacer.drain_time()), 10000.0, 10.0);
 }
 
-TEST(Pacer, IdleGapCreditClampedAtDrainTime) {
-  // Regression: credit must be bounded when it is *spent*. A pacer idle
-  // for 10 s with max_burst = 2 ms may catch up with at most 2 ms worth
-  // of back-to-back packets on wake — never a 10 s super-burst.
-  sim::EventLoop loop;
-  Capture cap;
-  Pacer::Config cfg;
-  cfg.rate_bps = 8e6;  // 1 byte/us -> 1000-byte packet = 1 ms interval
-  cfg.i_frame_gain = 1.0;
-  cfg.max_burst = 2 * kMs;
-  Pacer pacer(
-      &loop, [&](const RtpPacketPtr& p) { cap.sent.emplace_back(loop.now(), p); },
-      cfg);
-  pacer.enqueue(pkt(FrameType::kP, 1000 - media::kRtpHeaderBytes));
-  loop.schedule_at(10 * kSec, [&] {
-    for (int i = 0; i < 6; ++i) {
-      pacer.enqueue(pkt(FrameType::kP, 1000 - media::kRtpHeaderBytes));
-    }
-  });
-  loop.run();
-  ASSERT_EQ(cap.sent.size(), 7u);
-  EXPECT_EQ(cap.sent[0].first, 0);
-  // 2 ms of credit at 1 ms/packet: the first packet plus two caught-up
-  // ones leave together, the rest at the steady 1 ms spacing.
-  EXPECT_EQ(cap.sent[1].first, 10 * kSec);
-  EXPECT_EQ(cap.sent[2].first, 10 * kSec);
-  EXPECT_EQ(cap.sent[3].first, 10 * kSec);
-  EXPECT_EQ(cap.sent[4].first, 10 * kSec + 1 * kMs);
-  EXPECT_EQ(cap.sent[5].first, 10 * kSec + 2 * kMs);
-  EXPECT_EQ(cap.sent[6].first, 10 * kSec + 3 * kMs);
-}
-
 TEST(Pacer, NoIdleCreditByDefault) {
-  // Default max_burst = 0: after any idle gap packets stay strictly
-  // interval-spaced (the pre-batching pacer's effective behaviour).
+  // The pacer banks no credit while idle: after any gap packets stay
+  // strictly interval-spaced.
   sim::EventLoop loop;
   Capture cap;
   Pacer::Config cfg;
@@ -195,30 +163,6 @@ TEST(Pacer, NoIdleCreditByDefault) {
   EXPECT_EQ(cap.sent[1].first, 10 * kSec);
   EXPECT_EQ(cap.sent[2].first, 10 * kSec + 1 * kMs);
   EXPECT_EQ(cap.sent[3].first, 10 * kSec + 2 * kMs);
-}
-
-TEST(Pacer, BurstCapBoundsOneDrainCallback) {
-  // With ample credit, one fire() drains at most max_burst_packets and
-  // re-arms at the same instant for the remainder — the burst still
-  // completes at the same virtual time.
-  sim::EventLoop loop;
-  Capture cap;
-  Pacer::Config cfg;
-  cfg.rate_bps = 8e6;
-  cfg.i_frame_gain = 1.0;
-  cfg.max_burst = 10 * kMs;
-  cfg.max_burst_packets = 2;
-  Pacer pacer(
-      &loop, [&](const RtpPacketPtr& p) { cap.sent.emplace_back(loop.now(), p); },
-      cfg);
-  loop.schedule_at(1 * kSec, [&] {
-    for (int i = 0; i < 5; ++i) {
-      pacer.enqueue(pkt(FrameType::kP, 1000 - media::kRtpHeaderBytes));
-    }
-  });
-  loop.run();
-  ASSERT_EQ(cap.sent.size(), 5u);
-  for (const auto& [t, p] : cap.sent) EXPECT_EQ(t, 1 * kSec);
 }
 
 TEST(Pacer, RateChangeAffectsSubsequentSpacing) {

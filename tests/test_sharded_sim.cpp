@@ -182,9 +182,10 @@ ShardedScaleConfig sweep_config(std::size_t shards) {
 void expect_same_world(const ShardedScaleResult& base,
                        const ShardedScaleResult& got) {
   EXPECT_EQ(got.qoe_csv, base.qoe_csv);
-  // `events` is deliberately absent: callback fusion granularity (not
-  // dispatch order) varies with loop co-tenancy, like batch_upcalls.
+  // Every delivery and timer is one event whichever loop hosts it, so
+  // the summed work count is shard-count invariant too.
   EXPECT_GT(got.events, 0u);
+  EXPECT_EQ(got.events, base.events);
   EXPECT_EQ(got.modeled_viewers, base.modeled_viewers);
   EXPECT_EQ(got.cross_messages, base.cross_messages);
   EXPECT_EQ(got.cross_clones, base.cross_clones);

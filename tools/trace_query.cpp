@@ -95,7 +95,7 @@ std::vector<Trace> group(const std::vector<Row>& rows) {
   for (std::size_t i = 0; i < rows.size();) {
     std::size_t j = i;
     while (j < rows.size() && rows[j].trace_id == rows[i].trace_id) ++j;
-    out.push_back(Trace{rows[i].trace_id, &rows[i], &rows[j]});
+    out.push_back(Trace{rows[i].trace_id, rows.data() + i, rows.data() + j});
     i = j;
   }
   return out;
