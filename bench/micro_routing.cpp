@@ -172,11 +172,10 @@ void BM_LinkWeight(benchmark::State& state) {
   ls.rtt = 80 * livenet::kMs;
   ls.loss_rate = 0.001;
   ls.utilization = 0.42;
-  const WeightParams params;
   double u = 0.3;
   for (auto _ : state) {
     u = u < 0.9 ? u + 1e-6 : 0.3;
-    benchmark::DoNotOptimize(link_weight(ls, u, 0.2, params));
+    benchmark::DoNotOptimize(link_weight(ls, u, 0.2));
   }
 }
 BENCHMARK(BM_LinkWeight);

@@ -18,7 +18,7 @@ using overlay::PathPush;
 using overlay::StreamRegister;
 
 BrainNode::BrainNode(sim::Network* net, const BrainConfig& cfg)
-    : net_(net), cfg_(cfg), discovery_(cfg.overload_threshold),
+    : net_(net), cfg_(cfg), discovery_(cfg.routing.overload_threshold),
       routing_(cfg.routing), path_decision_(&pib_, &sib_) {}
 
 BrainNode::~BrainNode() {
@@ -127,12 +127,13 @@ void BrainNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
     ++metrics_.reports_received;
     discovery_.on_report(*rep, net_->loop()->now(), &pib_);
     // Mirror the implied overload clears to the replicas.
-    if (!replicas_.empty() && rep->node_load < cfg_.overload_threshold) {
+    const double threshold = cfg_.routing.overload_threshold;
+    if (!replicas_.empty() && rep->node_load < threshold) {
       auto upd = sim::make_message<ReplicaOverloadUpdate>();
       upd->node = rep->node;
       upd->overloaded = false;
       for (const auto& lr : rep->links) {
-        if (lr.utilization < cfg_.overload_threshold) {
+        if (lr.utilization < threshold) {
           upd->hot_links.push_back(lr.to);
         }
       }
@@ -143,7 +144,8 @@ void BrainNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   if (const auto alarm = sim::msg_cast<const OverloadAlarm>(msg)) {
     ++metrics_.alarms_received;
     discovery_.on_alarm(*alarm, &pib_);
-    if (!replicas_.empty() && alarm->node_load >= cfg_.overload_threshold) {
+    if (!replicas_.empty() &&
+        alarm->node_load >= cfg_.routing.overload_threshold) {
       auto upd = sim::make_message<ReplicaOverloadUpdate>();
       upd->node = alarm->node;
       upd->overloaded = true;

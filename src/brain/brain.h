@@ -26,8 +26,9 @@ struct BrainConfig {
   Duration routing_interval = 10 * kMin;  ///< Global Routing cycle
   Duration request_service_time = 1500 * kUs;  ///< per path request
   std::size_t push_top_n = 3;  ///< popular streams to push proactively
+  /// Also the source of the overload threshold Discovery and the
+  /// replica mirroring apply, so the Brain has exactly one.
   GlobalRoutingConfig routing;
-  double overload_threshold = 0.8;
 };
 
 /// Brain-side measurement log (the paper's third data source: "logged

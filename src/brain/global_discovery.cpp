@@ -7,11 +7,8 @@ namespace livenet::brain {
 namespace {
 
 /// Proxy for the abstracted link weight with neutral node utilization;
-/// used only for relative-change detection, so the exact WeightParams
-/// do not matter as long as they are applied consistently.
-double proxy_weight(const LinkState& ls) {
-  return link_weight(ls, 0.0, 0.0, WeightParams{});
-}
+/// used only for relative-change detection.
+double proxy_weight(const LinkState& ls) { return link_weight(ls, 0.0, 0.0); }
 
 }  // namespace
 
@@ -22,7 +19,7 @@ void GlobalDiscovery::on_report(const overlay::NodeStateReport& report,
   // overload-threshold crossing (which flips the routing constraints).
   const bool first_node = view.last_report == kNever;
   const bool load_moved =
-      std::abs(report.node_load - view.load) >= dirty_cfg_.load_abs;
+      std::abs(report.node_load - view.load) >= kLoadAbs;
   const bool node_crossed = (view.load >= threshold_) !=
                             (report.node_load >= threshold_);
   if (first_node || load_moved || node_crossed) {
@@ -43,7 +40,7 @@ void GlobalDiscovery::on_report(const overlay::NodeStateReport& report,
       next.utilization = lr.utilization;
       const double after = proxy_weight(next);
       if (before > 0.0 &&
-          std::abs(after - before) / before >= dirty_cfg_.weight_rel) {
+          std::abs(after - before) / before >= kWeightRel) {
         dirty = true;
       }
       if ((ls.utilization >= threshold_) != (lr.utilization >= threshold_)) {

@@ -23,12 +23,6 @@
 // know about routing cycles (or be mutated by them).
 namespace livenet::brain {
 
-/// Thresholds below which a state change is not worth re-routing for.
-struct DirtyConfig {
-  double weight_rel = 0.10;  ///< relative link proxy-weight change
-  double load_abs = 0.05;    ///< absolute node-load change
-};
-
 class GlobalDiscovery {
  public:
   struct NodeView {
@@ -37,9 +31,8 @@ class GlobalDiscovery {
     std::unordered_map<sim::NodeId, LinkState> links;
   };
 
-  explicit GlobalDiscovery(double overload_threshold = 0.8,
-                           const DirtyConfig& dirty = DirtyConfig())
-      : threshold_(overload_threshold), dirty_cfg_(dirty) {}
+  explicit GlobalDiscovery(double overload_threshold = 0.8)
+      : threshold_(overload_threshold) {}
 
   /// Periodic report: refreshes the global view; clears overload marks
   /// for elements the report shows healthy again.
@@ -72,6 +65,10 @@ class GlobalDiscovery {
                    std::vector<sim::NodeId>* nodes) const;
 
  private:
+  // Thresholds below which a state change is not worth re-routing for.
+  static constexpr double kWeightRel = 0.10;  ///< relative link weight change
+  static constexpr double kLoadAbs = 0.05;    ///< absolute node-load change
+
   static std::uint64_t link_key(sim::NodeId a, sim::NodeId b) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
            static_cast<std::uint32_t>(b);
@@ -82,7 +79,6 @@ class GlobalDiscovery {
   void mark_node_dirty(sim::NodeId n) { dirty_nodes_[n] = ++dirty_seq_; }
 
   double threshold_;
-  DirtyConfig dirty_cfg_;
   std::unordered_map<sim::NodeId, NodeView> nodes_;
 
   std::uint64_t dirty_seq_ = 0;

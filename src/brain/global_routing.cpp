@@ -136,8 +136,7 @@ void GlobalRouting::fill_graph_cells(
       if (!ls.valid) continue;
       const auto ib = idx_of.find(idb);
       if (ib == idx_of.end() || ib->second == a) continue;
-      row[ib->second] =
-          link_weight(ls, loads[a], loads[ib->second], cfg_.weights);
+      row[ib->second] = link_weight(ls, loads[a], loads[ib->second]);
     }
   }
 }

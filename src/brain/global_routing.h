@@ -43,7 +43,6 @@ struct GlobalRoutingConfig {
   std::size_t k = 3;           ///< candidate paths per pair
   int max_hops = 3;            ///< constraint (iii)
   double overload_threshold = 0.8;  ///< constraints (i)/(ii) proxy
-  WeightParams weights;
   bool incremental = false;    ///< dirty-set source skipping
   /// Every Nth incremental cycle becomes a full refresh (0 disables
   /// the cadence and trusts the dirty set alone).

@@ -5,22 +5,28 @@
 
 namespace livenet::brain {
 
-double utilization_penalty(double u, const WeightParams& params) {
+namespace {
+
+// Eq. 3 sigmoid parameters, in percentage points of utilization.
+constexpr double kAlpha = 0.5;
+constexpr double kBetaPercent = 80.0;
+
+}  // namespace
+
+double utilization_penalty(double u) {
   const double u_percent = std::clamp(u, 0.0, 1.0) * 100.0;
-  return 1.0 / (1.0 + std::exp(params.alpha *
-                               (params.beta_percent - u_percent))) +
-         1.0;
+  return 1.0 / (1.0 + std::exp(kAlpha * (kBetaPercent - u_percent))) + 1.0;
 }
 
 double link_weight(const LinkState& link, double node_util_a,
-                   double node_util_b, const WeightParams& params) {
+                   double node_util_b) {
   const double rho = std::clamp(link.loss_rate, 0.0, 1.0);
   const double rtt = static_cast<double>(link.rtt);
   // Expected RTT assuming one recovery round for lost packets.
   const double expected_rtt = rho * 2.0 * rtt + (1.0 - rho) * rtt;
   const double u =
       std::max({link.utilization, node_util_a, node_util_b});
-  return expected_rtt * utilization_penalty(u, params);
+  return expected_rtt * utilization_penalty(u);
 }
 
 bool RoutingGraph::rebuild_from(std::size_t n, std::vector<double>* cells) {

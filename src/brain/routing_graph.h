@@ -26,17 +26,12 @@ struct LinkState {
   bool valid = false;
 };
 
-struct WeightParams {
-  double alpha = 0.5;
-  double beta_percent = 80.0;
-};
-
 /// Eq. 3: sigmoid-like utilization penalty in [1, 2]. `u` in [0,1].
-double utilization_penalty(double u, const WeightParams& params);
+double utilization_penalty(double u);
 
 /// Eq. 2: abstracted link weight in microseconds of expected RTT.
 double link_weight(const LinkState& link, double node_util_a,
-                   double node_util_b, const WeightParams& params);
+                   double node_util_b);
 
 /// Dense directed graph over the overlay nodes, with a compressed
 /// sparse row (CSR) adjacency view for the Dijkstra inner loops.

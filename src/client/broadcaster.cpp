@@ -21,8 +21,7 @@ void Broadcaster::start(NodeId producer,
   producer_ = producer;
   stream_ids_ = std::move(stream_ids);
   broadcasting_ = true;
-  uplink_ = std::make_unique<overlay::LinkSender>(net_, node_id(), producer_,
-                                                  cfg_.uplink);
+  uplink_ = std::make_unique<overlay::LinkSender>(net_, node_id(), producer_);
 
   Rng rng(seed_);
   versions_.clear();
@@ -33,10 +32,8 @@ void Broadcaster::start(NodeId producer,
     auto& ver = versions_[v];
     ver.source = std::make_unique<media::VideoSource>(stream_ids_[v], vcfg,
                                                       rng.fork());
-    if (cfg_.send_audio) {
-      ver.audio =
-          std::make_unique<media::AudioSource>(stream_ids_[v], cfg_.audio);
-    }
+    ver.audio =
+        std::make_unique<media::AudioSource>(stream_ids_[v], cfg_.audio);
     ver.packetizer = std::make_unique<media::Packetizer>(stream_ids_[v]);
     ver.packetizer->set_trace_sample(cfg_.trace_sample);
 
@@ -48,10 +45,8 @@ void Broadcaster::start(NodeId producer,
 
     ver.video_timer = net_->loop()->schedule_after(
         ver.source->frame_interval(), [this, v] { video_tick(v); });
-    if (ver.audio) {
-      ver.audio_timer = net_->loop()->schedule_after(
-          ver.audio->frame_interval(), [this, v] { audio_tick(v); });
-    }
+    ver.audio_timer = net_->loop()->schedule_after(
+        ver.audio->frame_interval(), [this, v] { audio_tick(v); });
   }
 }
 
@@ -79,8 +74,7 @@ void Broadcaster::migrate(NodeId new_producer) {
   if (!broadcasting_ || new_producer == producer_) return;
   const NodeId old_producer = producer_;
   producer_ = new_producer;
-  uplink_ = std::make_unique<overlay::LinkSender>(net_, node_id(), producer_,
-                                                  cfg_.uplink);
+  uplink_ = std::make_unique<overlay::LinkSender>(net_, node_id(), producer_);
   // Publish at the new producer (re-registers the SIB entries there).
   for (std::size_t v = 0; v < stream_ids_.size(); ++v) {
     auto pub = sim::make_message<overlay::PublishRequest>();

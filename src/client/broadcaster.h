@@ -20,9 +20,7 @@ namespace livenet::client {
 struct BroadcasterConfig {
   Duration encode_delay = 60 * kMs;  ///< capture-to-sendable latency
   std::vector<media::VideoSourceConfig> versions;  ///< simulcast ladder
-  media::AudioSourceConfig audio;
-  bool send_audio = true;  ///< audio attached to every version's stream
-  overlay::LinkSender::Config uplink;
+  media::AudioSourceConfig audio;  ///< attached to every version's stream
   /// Fraction of produced packets stamped with a telemetry trace_id
   /// (0 = tracing off). Applied to every simulcast version.
   double trace_sample = 0.0;

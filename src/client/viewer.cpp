@@ -67,8 +67,7 @@ void Viewer::start_view(NodeId consumer, media::StreamId stream,
         // Transport-level unrecoverable hole on the last mile.
         if (record_ != nullptr) ++record_->frames_skipped;
         ++skips_since_report_;
-      },
-      cfg_.receiver);
+      });
 
   auto req = sim::make_message<overlay::ViewRequest>();
   req->stream_id = stream;
@@ -79,7 +78,7 @@ void Viewer::start_view(NodeId consumer, media::StreamId stream,
 
   if (report_timer_ == sim::kInvalidEvent) {
     report_timer_ = net_->loop()->schedule_after(
-        cfg_.quality_report_interval, [this] { send_quality_report(); });
+        kQualityReportInterval, [this] { send_quality_report(); });
   }
 }
 
@@ -113,8 +112,7 @@ void Viewer::migrate(NodeId new_consumer) {
       [this](media::StreamId) {
         if (record_ != nullptr) ++record_->frames_skipped;
         ++skips_since_report_;
-      },
-      cfg_.receiver);
+      });
   // The framers restart with the new consumer's client-facing seq
   // spaces, which zeroes their cumulative drop counters — fold the
   // drops that accrued since the last quality report into the interval
@@ -252,7 +250,7 @@ void Viewer::on_frame(const Frame& frame) {
     }
     playing_ = true;
     const Time join_target = latest_capture_ - cfg_.playback_buffer;
-    const Time display = now + cfg_.decode_delay;
+    const Time display = now + kDecodeDelay;
     bool first = true;
     for (const auto& f : prebuffer_) {
       if (f.capture_time < join_target) continue;  // decode-only
@@ -268,7 +266,7 @@ void Viewer::on_frame(const Frame& frame) {
       if (f.is_keyframe() || f.frame_id == prebuffer_.front().frame_id) {
         record_->header_ext_delay_ms.add(
             to_ms(f.delay_ext_us + (d > now ? d - now : 0) +
-                  cfg_.decode_delay));
+                  kDecodeDelay));
       }
       ++record_->frames_displayed;
       record_->bytes_displayed += f.size_bytes;
@@ -292,14 +290,13 @@ void Viewer::on_frame(const Frame& frame) {
     pipeline_peak_ = pipeline;
   }
   const Duration target_offset = pipeline_peak_ + cfg_.playback_buffer +
-                                 cfg_.catchup_headroom + cfg_.decode_delay;
+                                 kCatchupHeadroom + kDecodeDelay;
   const Duration effective = playout_offset_ + stall_shift_;
-  if (cfg_.catchup_rate > 0.0 && effective > target_offset + 50 * kMs &&
-      last_capture_seen_ != kNever) {
+  if (effective > target_offset + 50 * kMs && last_capture_seen_ != kNever) {
     const Duration frame_gap = frame.capture_time - last_capture_seen_;
     if (frame_gap > 0) {
       const auto step = static_cast<Duration>(
-          cfg_.catchup_rate * static_cast<double>(frame_gap));
+          kCatchupRate * static_cast<double>(frame_gap));
       playout_offset_ -= std::min(step, effective - target_offset);
     }
   }
@@ -331,7 +328,7 @@ void Viewer::on_frame(const Frame& frame) {
     // I frame (§6.1); the client adds buffering and decode time.
     const Duration buffer_wait = display > now ? display - now : 0;
     record_->header_ext_delay_ms.add(
-        to_ms(frame.delay_ext_us + buffer_wait + cfg_.decode_delay));
+        to_ms(frame.delay_ext_us + buffer_wait + kDecodeDelay));
   }
   ++record_->frames_displayed;
   record_->bytes_displayed += frame.size_bytes;
@@ -379,11 +376,11 @@ void Viewer::send_quality_report() {
   net_->send(node_id(), consumer_, std::move(rep));
   ++reports_sent_;
   report_timer_ = net_->loop()->schedule_after(
-      cfg_.quality_report_interval, [this] { send_quality_report(); });
+      kQualityReportInterval, [this] { send_quality_report(); });
 }
 
 void Viewer::maybe_adapt_layers(std::uint32_t stalls, std::uint32_t skips) {
-  if (!cfg_.svc_adapt || (svc_s_ <= 1 && svc_t_ <= 1)) return;
+  if (svc_s_ <= 1 && svc_t_ <= 1) return;
   const LayerMask lattice = media::lattice_mask(svc_s_, svc_t_);
   const LayerMask base = media::layer_bit(0, 0);
 
@@ -404,7 +401,7 @@ void Viewer::maybe_adapt_layers(std::uint32_t stalls, std::uint32_t skips) {
     return;
   }
   if (stalls == 0 && skips == 0) {
-    if (++clean_windows_ >= cfg_.svc_upswitch_windows) {
+    if (++clean_windows_ >= kSvcUpswitchWindows) {
       clean_windows_ = 0;
       const LayerMask have = static_cast<LayerMask>(mask_ & lattice);
       const LayerMask missing = static_cast<LayerMask>(lattice & ~have);

@@ -29,25 +29,9 @@ namespace livenet::client {
 
 struct ViewerConfig {
   Duration playback_buffer = 300 * kMs;  ///< Taobao Live's client buffer
-  Duration decode_delay = 30 * kMs;
-  Duration quality_report_interval = 1 * kSec;
-  /// Catch-up: when the buffer holds more than playback_buffer +
-  /// catchup_headroom behind live (after joining from an old cached
-  /// GoP), playback runs slightly fast until it is back within that
-  /// band. 0.25 means 1.25x playback speed. The headroom keeps routine
-  /// loss-recovery spikes inside the buffer.
-  double catchup_rate = 0.25;
-  Duration catchup_headroom = 120 * kMs;
   /// Initial SVC layer mask requested with the view (kAllLayers = take
   /// everything; meaningful only for SVC streams).
   media::LayerMask initial_layer_mask = media::kAllLayers;
-  /// Drive SVC mask flips from the viewer's own stall/skip windows
-  /// (quality flips become LayerMaskUpdate messages, not stream
-  /// switches). Irrelevant for non-SVC streams.
-  bool svc_adapt = true;
-  /// Consecutive clean report windows before requesting a layer back.
-  int svc_upswitch_windows = 3;
-  overlay::LinkReceiver::Config receiver;
 };
 
 class Viewer final : public sim::SimNode {
@@ -90,6 +74,18 @@ class Viewer final : public sim::SimNode {
   }
 
  private:
+  static constexpr Duration kDecodeDelay = 30 * kMs;
+  static constexpr Duration kQualityReportInterval = 1 * kSec;
+  /// Catch-up: when the buffer holds more than playback_buffer +
+  /// kCatchupHeadroom behind live (after joining from an old cached
+  /// GoP), playback runs slightly fast until it is back within that
+  /// band. 0.25 means 1.25x playback speed. The headroom keeps routine
+  /// loss-recovery spikes inside the buffer.
+  static constexpr double kCatchupRate = 0.25;
+  static constexpr Duration kCatchupHeadroom = 120 * kMs;
+  /// Consecutive clean report windows before requesting a layer back.
+  static constexpr int kSvcUpswitchWindows = 3;
+
   void assemble(const media::RtpPacketPtr& pkt);
   void on_frame(const media::Frame& frame);
   void send_quality_report();

@@ -17,7 +17,7 @@ void HierControl::on_message(NodeId from, const sim::MessagePtr& msg) {
   ++requests_served_;
   const Time now = net_->loop()->now();
   const Time start = std::max(now, busy_until_);
-  busy_until_ = start + cfg_.request_service_time;
+  busy_until_ = start + kRequestServiceTime;
 
   auto resp = sim::make_message<MapResponse>();
   resp->request_id = req->request_id;

@@ -14,16 +14,9 @@
 // maximize fan-in sharing — the hierarchical analogue of a cache hit).
 namespace livenet::hier {
 
-struct HierControlConfig {
-  Duration request_service_time = 2 * kMs;
-};
-
 class HierControl final : public sim::SimNode {
  public:
-  explicit HierControl(sim::Network* net)
-      : HierControl(net, HierControlConfig()) {}
-  HierControl(sim::Network* net, const HierControlConfig& cfg)
-      : net_(net), cfg_(cfg) {}
+  explicit HierControl(sim::Network* net) : net_(net) {}
 
   void on_message(sim::NodeId from, const sim::MessagePtr& msg) override;
 
@@ -36,10 +29,11 @@ class HierControl final : public sim::SimNode {
   std::uint64_t requests_served() const { return requests_served_; }
 
  private:
+  static constexpr Duration kRequestServiceTime = 2 * kMs;
+
   sim::NodeId pick_l2(media::StreamId stream, sim::NodeId l1);
 
   sim::Network* net_;
-  HierControlConfig cfg_;
   std::vector<sim::NodeId> l2s_;
   std::unordered_map<sim::NodeId, sim::NodeId> affinity_;
   std::unordered_map<media::StreamId, std::vector<sim::NodeId>>

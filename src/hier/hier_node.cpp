@@ -15,19 +15,15 @@ HierNode::HierNode(sim::Network* net, overlay::OverlayMetrics* metrics,
     : net_(net), metrics_(metrics), cfg_(cfg),
       senders_(net, this, cfg_.sender),
       recovery_(net, this,
-                overlay::RecoveryEngine::Config{cfg_.receiver,
-                                                cfg_.packet_cache_gops,
-                                                /*cache_max_packets=*/4096,
-                                                /*telemetry=*/false}),
+                overlay::RecoveryEngine::Config{.receiver = {},
+                                                .telemetry = false,
+                                                .multi_supplier = false}),
       session_(net, this, metrics,
                overlay::SessionConfig{
-                   /*client_extra_delay=*/0,
-                   /*switch_stall_threshold=*/2,
-                   /*switch_skip_threshold=*/8,
-                   /*downgrade_pressure_packets=*/150,
+                   .client_extra_delay = 0,
                    // Hier has no simulcast ladder to preserve across a
                    // deferred attach; the view state appears on attach.
-                   /*eager_view_state=*/false},
+                   .eager_view_state = false},
                &streams_) {
   overlay::SessionLayer::Hooks hooks;
   hooks.carries_stream = [this](StreamId s) { return carries_stream(s); };

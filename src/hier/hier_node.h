@@ -39,14 +39,12 @@ struct HierNodeConfig {
   Duration full_stack_delay = 20 * kMs;  ///< per-hop processing latency
   Duration center_extra_delay = 10 * kMs;  ///< media processing at center
   Duration unsubscribe_linger = 5 * kSec;
-  std::size_t packet_cache_gops = 2;
   /// Node-to-node transport config. Hier runs RTMP over TCP between
   /// nodes: sending is not media-paced — TCP grabs the available link
   /// bandwidth — so the default floors the pacing rate high.
   overlay::LinkSender::Config sender;
   /// Client-facing (last mile) transport: bandwidth-adaptive.
   overlay::LinkSender::Config client_sender;
-  overlay::LinkReceiver::Config receiver;
 };
 
 class HierNode final : public sim::SimNode {

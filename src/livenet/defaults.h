@@ -24,7 +24,6 @@ inline SystemConfig paper_system_config(std::uint64_t seed = 42) {
   cfg.geo.country_spread = 80.0;  // inter-national one-way scale
   cfg.geo.country_radius = 50.0;  // intra-national one-way scale
 
-  cfg.mesh_bandwidth_bps = 150e6;
   cfg.base_loss_rate = 0.0004;  // scaled diurnally up to ~0.17% at peak
   cfg.access_bandwidth_bps = 20e6;
   cfg.access_extra_delay = 90 * kMs;  // first/last-mile tail latency
@@ -100,7 +99,6 @@ inline ScenarioConfig paper_scenario_config(std::uint64_t seed = 7) {
   cfg.viewer_rate_peak = 3.5;
   cfg.zipf_s = 1.3;
   cfg.mean_view_time = 30 * kSec;
-  cfg.intl_fraction = 0.12;
   cfg.peak_loss_scale = 4.0;
   cfg.seed = seed;
   return cfg;

@@ -11,10 +11,21 @@ namespace livenet {
 using sim::NodeId;
 using workload::GeoSite;
 
+namespace {
+
+constexpr double kLadderStep = 0.5;  ///< each version = step x previous
+constexpr double kDiurnalTrough = 0.25;
+constexpr double kViewTimeSigma = 0.6;  ///< lognormal sigma
+constexpr double kIntlFraction = 0.12;  ///< viewer in another country
+/// Viewers cluster near popular broadcasters' country.
+constexpr double kColocatePopularBias = 0.65;
+
+}  // namespace
+
 ScenarioRunner::ScenarioRunner(CdnSystem& system, const ScenarioConfig& cfg)
     : system_(system), cfg_(cfg), rng_(cfg.seed),
       demand_(cfg.viewer_rate_peak,
-              workload::DiurnalCurve(cfg.diurnal_trough, 1.0),
+              workload::DiurnalCurve(kDiurnalTrough, 1.0),
               cfg.day_length),
       zipf_(static_cast<std::size_t>(std::max(1, cfg.broadcasts)),
             cfg.zipf_s) {
@@ -43,7 +54,7 @@ void ScenarioRunner::start_broadcasters() {
         vc.svc_temporal_layers = cfg_.svc_temporal_layers;
       }
       bc.versions.push_back(vc);
-      rate *= cfg_.ladder_step;
+      rate *= kLadderStep;
     }
 
     auto bcast = std::make_unique<client::Broadcaster>(
@@ -81,7 +92,7 @@ void ScenarioRunner::spawn_viewer() {
   // audiences), sometimes international.
   GeoSite site;
   const GeoSite& bsite = broadcaster_sites_[b];
-  if (rng_.chance(cfg_.intl_fraction)) {
+  if (rng_.chance(kIntlFraction)) {
     int other = bsite.country;
     if (system_.geo().countries() > 1) {
       while (other == bsite.country) {
@@ -90,7 +101,7 @@ void ScenarioRunner::spawn_viewer() {
       }
     }
     site = system_.geo().sample_site(other);
-  } else if (rng_.chance(cfg_.colocate_popular_bias)) {
+  } else if (rng_.chance(kColocatePopularBias)) {
     site = system_.geo().sample_site(bsite.country);
   } else {
     site = system_.geo().sample_site();
@@ -108,8 +119,8 @@ void ScenarioRunner::spawn_viewer() {
 
   const double view_secs = rng_.lognormal(
       std::log(to_sec(cfg_.mean_view_time)) -
-          0.5 * cfg_.view_time_sigma * cfg_.view_time_sigma,
-      cfg_.view_time_sigma);
+          0.5 * kViewTimeSigma * kViewTimeSigma,
+      kViewTimeSigma);
   const Time stop_at =
       system_.loop().now() +
       static_cast<Duration>(std::max(2.0, view_secs) *

@@ -28,7 +28,6 @@ struct ScenarioConfig {
   int broadcasts = 16;               ///< concurrent broadcasts
   int simulcast_versions = 2;        ///< bitrate ladder depth
   double top_bitrate_bps = 1.5e6;
-  double ladder_step = 0.5;          ///< each version = step x previous
   double fps = 25.0;
   std::size_t gop_frames = 50;       ///< 2 s GoPs
   std::size_t b_per_p = 0;
@@ -46,13 +45,8 @@ struct ScenarioConfig {
 
   // Viewers.
   double viewer_rate_peak = 3.0;     ///< arrivals/sec at diurnal peak
-  double diurnal_trough = 0.25;
   double zipf_s = 1.1;
   Duration mean_view_time = 30 * kSec;
-  double view_time_sigma = 0.6;      ///< lognormal sigma
-  double intl_fraction = 0.12;       ///< viewer in another country
-  double colocate_popular_bias = 0.65;  ///< viewers cluster near popular
-                                        ///< broadcasters' country
 
   // Diurnal loss model: cdn link loss = base x (1 + (scale-1) x level).
   double peak_loss_scale = 3.5;

@@ -9,6 +9,7 @@
 #include "client/viewer_cohort.h"
 #include "media/packetizer.h"
 #include "media/rtp.h"
+#include "media/video_source.h"
 #include "overlay/messages.h"
 #include "sim/sim_node.h"
 #include "util/logging.h"
@@ -18,6 +19,19 @@ namespace {
 
 using sim::MessagePtr;
 using sim::NodeId;
+
+// Underlay. Only source -> region-head links cross regions, so the
+// conservative lookahead window equals kCrossRegionDelay.
+constexpr Duration kCrossRegionDelay = 30 * kMs;
+constexpr Duration kIntraRegionDelay = 4 * kMs;
+constexpr Duration kAccessDelay = 10 * kMs;
+constexpr double kCoreBandwidthBps = 1e9;
+
+constexpr Time kSourceStart = 100 * kMs;
+constexpr Time kJoinStart = 500 * kMs;
+/// Nominal cohort joins spread evenly over this window (each then
+/// perturbed by the cohort's seeded offset).
+constexpr Duration kJoinWindow = 2 * kSec;
 
 /// Per-link RNG seed as a pure function of (run seed, src, dst): the
 /// same link gets the same randomness no matter which shard builds it
@@ -215,7 +229,8 @@ void ShardedScaleSim::Impl::build() {
   // -- Nodes, in one global order every shard replays identically.
   const std::int32_t src_region = 0;
   source = std::make_unique<SourceNode>(&sharded.net(home_shard(src_region)),
-                                        stream, cfg.video, cfg.seed ^ 0x51);
+                                        stream, media::VideoSourceConfig(),
+                                        cfg.seed ^ 0x51);
   const NodeId source_id = register_node(source.get(), src_region);
 
   std::vector<NodeId> head_ids;
@@ -247,10 +262,10 @@ void ShardedScaleSim::Impl::build() {
                     (1 + static_cast<std::uint64_t>(cfg.consumers_per_relay));
 
   // -- Core links. Only source -> head crosses regions; the uniform
-  // cross_region_delay is therefore the lookahead window.
+  // kCrossRegionDelay is therefore the lookahead window.
   for (std::int32_t r = 0; r < cfg.regions; ++r) {
     link(source_id, head_ids[static_cast<std::size_t>(r)],
-         cfg.cross_region_delay, cfg.core_bandwidth_bps);
+         kCrossRegionDelay, kCoreBandwidthBps);
     source->add_child(head_ids[static_cast<std::size_t>(r)]);
   }
   {
@@ -262,12 +277,12 @@ void ShardedScaleSim::Impl::build() {
         const NodeId rid = relay_ids[static_cast<std::size_t>(r)]
                                     [static_cast<std::size_t>(i)];
         link(head_ids[static_cast<std::size_t>(r)], rid,
-             cfg.intra_region_delay, cfg.core_bandwidth_bps);
+             kIntraRegionDelay, kCoreBandwidthBps);
         head.add_child(rid);
         RelayNode& relay = relays[relay_obj];
         for (int j = 0; j < cfg.consumers_per_relay; ++j, ++consumer_idx) {
           const NodeId cid = consumer_ids[consumer_idx];
-          link(rid, cid, cfg.intra_region_delay, cfg.core_bandwidth_bps);
+          link(rid, cid, kIntraRegionDelay, kCoreBandwidthBps);
           relay.add_child(cid);
         }
       }
@@ -290,8 +305,8 @@ void ShardedScaleSim::Impl::build() {
         &sharded.net(home), &metrics[home], cfg.seed ^ (0xC0F00Dull + c),
         ccfg);
     const NodeId vid = register_node(&cohort->viewer(), r);
-    link(consumer_ids[c], vid, cfg.access_delay, cfg.access_bandwidth_bps);
-    link(vid, consumer_ids[c], cfg.access_delay, cfg.access_bandwidth_bps);
+    link(consumer_ids[c], vid, kAccessDelay, cfg.access_bandwidth_bps);
+    link(vid, consumer_ids[c], kAccessDelay, cfg.access_bandwidth_bps);
     Cohort entry;
     entry.cohort = std::move(cohort);
     entry.viewer_id = vid;
@@ -320,17 +335,16 @@ void ShardedScaleSim::Impl::build() {
   // -- Schedule the run.
   sharded.net(home_shard(src_region))
       .loop()
-      ->schedule_at(cfg.source_start, [src = source.get()] { src->start(); });
+      ->schedule_at(kSourceStart, [src = source.get()] { src->start(); });
   const media::StreamId view_stream = stream;
   for (std::size_t c = 0; c < cohorts.size(); ++c) {
     Cohort& ch = cohorts[c];
     ch.nominal_join =
-        cfg.join_start +
-        static_cast<Time>(c) * cfg.join_window /
-            static_cast<Time>(cohorts.size());
-    const Time leave =
-        cfg.view_time > 0 ? ch.nominal_join + cfg.view_time : kNever;
-    ch.cohort->schedule_view(ch.consumer, view_stream, ch.nominal_join, leave);
+        kJoinStart + static_cast<Time>(c) * kJoinWindow /
+                         static_cast<Time>(cohorts.size());
+    // Cohorts view to the end of the run.
+    ch.cohort->schedule_view(ch.consumer, view_stream, ch.nominal_join,
+                             kNever);
   }
 }
 

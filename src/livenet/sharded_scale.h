@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "media/video_source.h"
 #include "sim/shard.h"
 #include "util/time.h"
 
@@ -36,14 +35,9 @@ struct ShardedScaleConfig {
   std::uint32_t viewers_per_leaf = 10;
   Time duration = 6 * kSec;
   std::uint64_t seed = 42;
-  media::VideoSourceConfig video;  ///< one broadcast, video flow only
 
-  // Underlay. Only source -> region-head links cross regions, so the
-  // conservative lookahead window equals cross_region_delay.
-  Duration cross_region_delay = 30 * kMs;
-  Duration intra_region_delay = 4 * kMs;
-  Duration access_delay = 10 * kMs;
-  double core_bandwidth_bps = 1e9;
+  // Underlay (the fixed delays and core bandwidth are in
+  // sharded_scale.cpp).
   double access_bandwidth_bps = 50e6;
 
   /// Optional scripted chaos: the source -> head-of-`flap_region` link
@@ -53,14 +47,6 @@ struct ShardedScaleConfig {
   Time flap_at = kNever;
   Duration flap_duration = 500 * kMs;
   int flap_region = 1;
-
-  Time source_start = 100 * kMs;
-  Time join_start = 500 * kMs;
-  /// Nominal cohort joins spread evenly over this window (each then
-  /// perturbed by the cohort's seeded offset).
-  Duration join_window = 2 * kSec;
-  /// 0 = view to the end of the run; otherwise leave after this long.
-  Duration view_time = 0;
 };
 
 struct ShardedScaleResult {

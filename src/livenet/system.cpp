@@ -9,6 +9,32 @@ namespace livenet {
 using sim::NodeId;
 using workload::GeoSite;
 
+namespace {
+
+// Overlay links (node <-> node). Propagation comes from the geo model
+// times a per-pair Internet path inflation factor — real Internet paths
+// detour from great circles, which is exactly why overlay relaying wins
+// (the premise of flat-CDN routing). The factor is deterministic per
+// node pair so LiveNet and Hier see the same underlay.
+constexpr double kMeshBandwidthBps = 150e6;
+constexpr std::size_t kLinkQueueBytes = 2 * 1024 * 1024;
+
+// Peering-tier model: a link's inflation is the product of its two
+// endpoints' peering factors. Backbone nodes (one per country, the Hier
+// L2/center sites, and the last-resort relays) are well peered; edge
+// nodes see inflated transit. This is what makes 2-hop overlay paths
+// via well-peered relays beat direct edge-to-edge Internet paths — the
+// premise of flat-CDN routing.
+constexpr double kBackbonePeering = 1.15;
+constexpr double kEdgePeeringMedian = 1.9;
+constexpr double kEdgePeeringSigma = 0.25;
+/// Additive per-endpoint transit detour: edge ISPs peer at distant
+/// exchange points, adding fixed latency per edge endpoint of a link.
+constexpr Duration kEdgePeeringExtra = 18 * kMs;
+constexpr Duration kBackbonePeeringExtra = 1 * kMs;
+
+}  // namespace
+
 CdnSystem::CdnSystem(const SystemConfig& cfg)
     : cfg_(cfg), net_(&loop_, cfg.seed),
       geo_(cfg.geo, Rng(cfg.seed ^ 0x47656F6Dull)) {}
@@ -28,7 +54,7 @@ double CdnSystem::edge_peering_draw(NodeId n) const {
   // Deterministic per node so LiveNet and Hier (which share the first
   // node ids/sites) see the same underlay.
   Rng rng(cfg_.seed ^ (static_cast<std::uint64_t>(n) * 0x9E3779B97F4A7C15ull));
-  return cfg_.edge_peering_median * rng.lognormal(0.0, cfg_.edge_peering_sigma);
+  return kEdgePeeringMedian * rng.lognormal(0.0, kEdgePeeringSigma);
 }
 
 Duration CdnSystem::pair_extra(NodeId a, NodeId b) const {
@@ -36,10 +62,10 @@ Duration CdnSystem::pair_extra(NodeId a, NodeId b) const {
     const auto idx = static_cast<std::size_t>(n);
     const double f = idx < node_peering_.size() && node_peering_[idx] > 0.0
                          ? node_peering_[idx]
-                         : cfg_.edge_peering_median;
+                         : kEdgePeeringMedian;
     // Backbone factors sit well below the edge median.
-    return f <= cfg_.backbone_peering * 1.01 ? cfg_.backbone_peering_extra
-                                             : cfg_.edge_peering_extra;
+    return f <= kBackbonePeering * 1.01 ? kBackbonePeeringExtra
+                                        : kEdgePeeringExtra;
   };
   return extra(a) + extra(b);
 }
@@ -49,7 +75,7 @@ double CdnSystem::pair_inflation(NodeId a, NodeId b) const {
     const auto idx = static_cast<std::size_t>(n);
     return idx < node_peering_.size() && node_peering_[idx] > 0.0
                ? node_peering_[idx]
-               : cfg_.edge_peering_median;
+               : kEdgePeeringMedian;
   };
   return factor(a) * factor(b);
 }
@@ -91,9 +117,9 @@ sim::Link* CdnSystem::add_cdn_link(NodeId a, NodeId b, Duration one_way,
   lc.propagation_delay =
       static_cast<Duration>(static_cast<double>(one_way) * inflation) +
       (inflation_override > 0.0 ? 0 : pair_extra(a, b));
-  lc.bandwidth_bps = cfg_.mesh_bandwidth_bps;
+  lc.bandwidth_bps = kMeshBandwidthBps;
   lc.loss_rate = cfg_.base_loss_rate;
-  lc.queue_limit_bytes = cfg_.link_queue_bytes;
+  lc.queue_limit_bytes = kLinkQueueBytes;
   sim::Link* l = net_.add_link(a, b, lc);
   cdn_links_.push_back(l);
   link_base_loss_.push_back(cfg_.base_loss_rate);
@@ -159,7 +185,7 @@ void LiveNetSystem::build() {
     // them, mirroring the paper's distinction between well-connected
     // relays and the edges serving users.
     if (i < cfg_.countries) {
-      set_node_peering(id, cfg_.backbone_peering);
+      set_node_peering(id, kBackbonePeering);
       backbone_ids_.push_back(id);
     } else {
       set_node_peering(id, edge_peering_draw(id));
@@ -177,7 +203,7 @@ void LiveNetSystem::build() {
     const NodeId id = net_.add_node(node.get());
     sites_.push_back(site);
     node->set_location(-1);
-    set_node_peering(id, cfg_.backbone_peering);  // IXP-grade peering
+    set_node_peering(id, kBackbonePeering);  // IXP-grade peering
     last_resort_ids_.push_back(id);
     nodes_.push_back(std::move(node));
   }
@@ -348,7 +374,7 @@ void HierSystem::build() {
     const NodeId id = net_.add_node(node.get());
     sites_.push_back(site);
     node->set_location(country);
-    set_node_peering(id, i < cfg_.countries ? cfg_.backbone_peering
+    set_node_peering(id, i < cfg_.countries ? kBackbonePeering
                                             : edge_peering_draw(id));
     l1_ids_.push_back(id);
     nodes_.push_back(std::move(node));

@@ -28,29 +28,9 @@ struct SystemConfig {
   int path_decision_replicas = 0;  ///< §7.1: replicas near consumers
   workload::GeoConfig geo;
 
-  // Overlay links (node <-> node). Propagation comes from the geo
-  // model times a per-pair Internet path inflation factor — real
-  // Internet paths detour from great circles, which is exactly why
-  // overlay relaying wins (the premise of flat-CDN routing). The factor
-  // is deterministic per node pair so LiveNet and Hier see the same
-  // underlay.
-  double mesh_bandwidth_bps = 150e6;
+  // Overlay links (node <-> node); their underlay model is in
+  // system.cpp.
   double base_loss_rate = 0.0004;
-  std::size_t link_queue_bytes = 2 * 1024 * 1024;
-
-  // Peering-tier model: a link's inflation is the product of its two
-  // endpoints' peering factors. Backbone nodes (one per country, the
-  // Hier L2/center sites, and the last-resort relays) are well peered;
-  // edge nodes see inflated transit. This is what makes 2-hop overlay
-  // paths via well-peered relays beat direct edge-to-edge Internet
-  // paths — the premise of flat-CDN routing.
-  double backbone_peering = 1.15;
-  double edge_peering_median = 1.9;
-  double edge_peering_sigma = 0.25;
-  /// Additive per-endpoint transit detour: edge ISPs peer at distant
-  /// exchange points, adding fixed latency per edge endpoint of a link.
-  Duration edge_peering_extra = 18 * kMs;
-  Duration backbone_peering_extra = 1 * kMs;
 
   /// DNS mapping randomization: clients map to one of the k nearest
   /// edges (load spreading), weighted toward the closest.

@@ -160,7 +160,7 @@ RtpPacketMut FecDecoder::on_parity(const RtpPacket& pkt) {
                   [&](Seq s) { have += sf.window.count(s); });
   if (have >= g.k) return nullptr;
   sf.pending.emplace(base, g);
-  while (sf.pending.size() > cfg_.max_groups) {
+  while (sf.pending.size() > kMaxGroups) {
     sf.pending.erase(sf.pending.begin());
     ++groups_abandoned_;
   }
@@ -214,7 +214,7 @@ RtpPacketMut FecDecoder::try_resolve(StreamId stream, Seq base,
 }
 
 void FecDecoder::prune(StreamFec& sf) {
-  while (sf.window.size() > cfg_.max_window) sf.window.erase(sf.window.begin());
+  while (sf.window.size() > kMaxWindow) sf.window.erase(sf.window.begin());
 }
 
 }  // namespace livenet::media

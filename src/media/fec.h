@@ -72,14 +72,6 @@ class FecGroupEncoder {
 /// branch per packet.
 class FecDecoder {
  public:
-  struct Config {
-    std::size_t max_window = 512;  ///< recent-media entries kept per stream
-    std::size_t max_groups = 64;   ///< held (>=2-loss) groups per stream
-  };
-
-  FecDecoder() = default;
-  explicit FecDecoder(const Config& cfg) : cfg_(cfg) {}
-
   bool active() const { return active_; }
 
   /// Record a received media packet (original, RTX, or a NACK-fallback
@@ -112,10 +104,12 @@ class FecDecoder {
     std::map<Seq, Group> pending;  ///< base_seq -> held parity
   };
 
+  static constexpr std::size_t kMaxWindow = 512;  ///< recent media per stream
+  static constexpr std::size_t kMaxGroups = 64;  ///< held (>=2-loss) groups
+
   RtpPacketMut try_resolve(StreamId stream, Seq base, const Group& g);
   void prune(StreamFec& sf);
 
-  Config cfg_;
   bool active_ = false;
   std::uint64_t reconstructed_ = 0;
   std::uint64_t groups_abandoned_ = 0;

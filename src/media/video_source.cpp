@@ -25,12 +25,12 @@ double VideoSource::mean_frame_size(FrameType t) const {
     n_b = n_total_non_i - n_p;
   }
   const double total_weight =
-      n_i * cfg_.i_frame_weight + n_p * 1.0 + n_b * cfg_.b_frame_weight;
+      n_i * cfg_.i_frame_weight + n_p * 1.0 + n_b * kBFrameWeight;
   const double unit = gop_bytes / total_weight;
   switch (t) {
     case FrameType::kI: return unit * cfg_.i_frame_weight;
     case FrameType::kP: return unit;
-    case FrameType::kB: return unit * cfg_.b_frame_weight;
+    case FrameType::kB: return unit * kBFrameWeight;
     case FrameType::kAudio: return 0.0;
   }
   return 0.0;
@@ -117,7 +117,7 @@ std::vector<Frame> VideoSource::next_picture(Time now) {
   // picture are intra-refreshed but ride as kP with the same gop_id.
   double scale = 1.0;
   for (std::uint8_t s = 1; s < base.spatial_layers; ++s) {
-    scale *= cfg_.svc_spatial_gain;
+    scale *= kSvcSpatialGain;
     Frame e = base;
     e.frame_id = next_frame_id_++;
     e.type = base.type == FrameType::kI ? FrameType::kP : base.type;
@@ -137,7 +137,7 @@ Frame AudioSource::next_frame(Time now) {
   f.type = FrameType::kAudio;
   f.referenced = true;
   f.capture_time = now;
-  f.size_bytes = cfg_.frame_bytes;
+  f.size_bytes = kFrameBytes;
   return f;
 }
 

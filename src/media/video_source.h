@@ -20,7 +20,6 @@ struct VideoSourceConfig {
   std::size_t gop_frames = 60;      ///< frames per GoP (2 s at 30 fps)
   double bitrate_bps = 2e6;         ///< target video bitrate
   double i_frame_weight = 8.0;      ///< I size relative to P
-  double b_frame_weight = 0.5;      ///< B size relative to P
   std::size_t b_per_p = 0;          ///< unreferenced B frames after each P
   double size_jitter_sigma = 0.15;  ///< lognormal sigma of frame sizes
 
@@ -30,10 +29,9 @@ struct VideoSourceConfig {
   // the dyadic pattern (T=3: 0 2 1 2 ...); spatial enhancement frames
   // ride the same capture tick with their own frame ids. bitrate_bps
   // describes the base spatial layer; each spatial enhancement scales
-  // its picture's base-layer frame by svc_spatial_gain^s.
+  // its picture's base-layer frame by VideoSource::kSvcSpatialGain^s.
   std::uint8_t svc_spatial_layers = 1;
   std::uint8_t svc_temporal_layers = 1;
-  double svc_spatial_gain = 1.7;
 };
 
 class VideoSource {
@@ -63,6 +61,9 @@ class VideoSource {
   double mean_frame_size(FrameType t) const;
 
  private:
+  static constexpr double kBFrameWeight = 0.5;  ///< B size relative to P
+  static constexpr double kSvcSpatialGain = 1.7;
+
   FrameType next_type();
   std::uint8_t temporal_layer_of(std::size_t pos_in_gop) const;
 
@@ -78,7 +79,6 @@ class VideoSource {
 /// Constant-rate audio source (e.g. Opus at 50 packets/s).
 struct AudioSourceConfig {
   double fps = 50.0;          ///< audio frames per second (20 ms)
-  std::size_t frame_bytes = 160;
 };
 
 class AudioSource {
@@ -92,6 +92,8 @@ class AudioSource {
   }
 
  private:
+  static constexpr std::size_t kFrameBytes = 160;
+
   StreamId stream_id_;
   AudioSourceConfig cfg_;
   std::uint64_t next_frame_id_ = 1;

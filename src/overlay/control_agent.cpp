@@ -31,7 +31,7 @@ StreamContext& ControlAgent::ensure_stream(StreamId s) {
 
 bool ControlAgent::paths_fresh(const StreamContext& ctx) const {
   return ctx.paths_fetched != kNever &&
-         env_->net->loop()->now() - ctx.paths_fetched <= cfg_->path_cache_ttl;
+         env_->net->loop()->now() - ctx.paths_fetched <= kPathCacheTtl;
 }
 
 bool ControlAgent::carries_stream(StreamId s) const {
@@ -104,7 +104,7 @@ void ControlAgent::handle_layer_mask_update(NodeId from,
 double ControlAgent::node_load() const {
   const double rate_load =
       forwarding_->egress_meter().rate_bps(env_->net->loop()->now()) /
-      cfg_->node_capacity_bps;
+      kNodeCapacityBps;
   const double stream_load = static_cast<double>(table_->stream_count()) /
                              static_cast<double>(cfg_->max_streams);
   return std::min(1.0, std::max(rate_load, stream_load));
@@ -232,7 +232,7 @@ void ControlAgent::request_path(StreamId stream) {
   // that can no longer complete. Time the request out and retry while
   // anything still wants the stream.
   env_->net->loop()->schedule_after(
-      cfg_->path_request_timeout, [this, id, stream] {
+      kPathRequestTimeout, [this, id, stream] {
         const auto idit = pending_path_reqs_.find(id);
         if (idit == pending_path_reqs_.end() || idit->second != stream) {
           return;  // answered (or swept by release/crash) in the meantime
@@ -610,7 +610,7 @@ void ControlAgent::switch_path(StreamId stream) {
   // faster than the cooldown.
   const Time now = env_->net->loop()->now();
   if (st.last_switch != kNever &&
-      now - st.last_switch < cfg_->switch_cooldown) {
+      now - st.last_switch < kSwitchCooldown) {
     return;
   }
 

@@ -91,6 +91,12 @@ class ControlAgent {
   void cancel_timers();
 
  private:
+  static constexpr double kNodeCapacityBps = 2e9;  ///< egress for load calc
+  static constexpr Duration kPathCacheTtl = 10 * kMin;  ///< path validity
+  static constexpr Duration kSwitchCooldown = 5 * kSec;  ///< min re-route gap
+  /// Lookup retry (lost request).
+  static constexpr Duration kPathRequestTimeout = 2 * kSec;
+
   /// OR of the SVC layer masks the stream's downstream edge wants.
   media::LayerMask downstream_aggregate(const StreamFib::Entry& e) const;
   bool try_establish(media::StreamId stream);

@@ -39,7 +39,7 @@ void ForwardingEngine::fast_forward(NodeId from, const RtpPacketPtr& pkt,
   if (slot == kNoBatch || open_time_ != loop->now() ||
       open_seq_ != loop->seq_cursor()) {
     slot = acquire_batch();
-    loop->schedule_after(cfg_->fast_proc_delay,
+    loop->schedule_after(kFastProcDelay,
                          [this, slot] { flush_batch(slot); });
     open_batch_ = slot;
     open_time_ = loop->now();
@@ -129,14 +129,14 @@ void ForwardingEngine::feed_fec(const RtpPacketPtr& pkt, NodeId n, Time now) {
   if (st.err_accum < 1.0) return;
   st.err_accum -= 1.0;
 
-  // Budget clamp: parity output on this link stays under the
-  // configured fraction of the link's current pacing rate.
-  const double budget = cfg_->fec_budget_fraction * snd.pacer().rate_bps();
+  // Budget clamp: parity output on this link stays under a fixed
+  // fraction of the link's current pacing rate.
+  const double budget = kFecBudgetFraction * snd.pacer().rate_bps();
   if (st.parity_meter.valid(now) && st.parity_meter.rate_bps(now) > budget) {
     return;
   }
   media::RtpPacketMut pp = media::RtpPacket::make(std::move(*parity));
-  pp->delay_ext_us = pkt->delay_ext_us + cfg_->fast_proc_delay +
+  pp->delay_ext_us = pkt->delay_ext_us + kFastProcDelay +
                      half_rtt_between(env_->net, env_->self(), n);
   pp->cdn_hops = static_cast<std::uint8_t>(pkt->cdn_hops + 1);
   st.parity_meter.add(now, pp->wire_size());
@@ -177,9 +177,8 @@ std::uint32_t ForwardingEngine::acquire_batch() {
 }
 
 void ForwardingEngine::flush_batch(std::uint32_t slot) {
-  // With fast_proc_delay == 0 the flush runs at the same instant the
-  // batch was opened; close it first so a packet arriving from our own
-  // sends cannot append to a slot being drained.
+  // Close the batch first so a packet arriving from our own sends
+  // cannot append to a slot being drained.
   if (open_batch_ == slot) open_batch_ = kNoBatch;
   Batch& b = *pool_[slot];
   const Time now = env_->net->loop()->now();
@@ -208,7 +207,7 @@ void ForwardingEngine::flush_batch(std::uint32_t slot) {
       auto clone = pkt->fork();
       clone->prev_link_seq = prev;
       clone->delay_ext_us +=
-          cfg_->fast_proc_delay + half_rtt_between(env_->net, env_->self(), n);
+          kFastProcDelay + half_rtt_between(env_->net, env_->self(), n);
       clone->cdn_hops = static_cast<std::uint8_t>(pkt->cdn_hops + 1);
       egress_meter_.add(now, clone->wire_size());
       ++forwards;

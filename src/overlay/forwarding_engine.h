@@ -37,6 +37,10 @@ namespace livenet::overlay {
 struct OverlayNodeConfig;
 class SessionLayer;
 
+/// Fast-path per-packet processing delay. The session layer charges the
+/// same delay on client delivery.
+inline constexpr Duration kFastProcDelay = 2 * kMs;
+
 class ForwardingEngine {
  public:
   ForwardingEngine(const OverlayNodeConfig* cfg, const NodeEnv* env,
@@ -109,6 +113,10 @@ class ForwardingEngine {
     media::Seq last_seen = 0;
     bool clean = true;
   };
+
+  /// Parity bandwidth clamp: parity output on a link may not exceed
+  /// this fraction of the link's current pacing rate.
+  static constexpr double kFecBudgetFraction = 0.05;
 
   std::uint32_t acquire_batch();
   void flush_batch(std::uint32_t slot);

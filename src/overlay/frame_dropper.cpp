@@ -35,7 +35,7 @@ DropReason FrameDropper::drop(DropReason reason, bool is_rtx) {
 
 DropReason FrameDropper::decide(const media::RtpPacket& pkt,
                                 Duration queue_drain) {
-  pressure_ = queue_drain > cfg_.drop_b_above;
+  pressure_ = queue_drain > kDropBAbove;
   if (pkt.is_audio()) return DropReason::kNone;  // audio is never dropped
 
   // A fresh keyframe opens a new GoP: reconsider suppression AND clear
@@ -52,7 +52,7 @@ DropReason FrameDropper::decide(const media::RtpPacket& pkt,
     return drop(DropReason::kGopSuppressed, pkt.is_rtx);
   }
 
-  if (queue_drain > cfg_.drop_gop_above) {
+  if (queue_drain > kDropGopAbove) {
     // Drop from here to the end of this GoP.
     dropping_gop_id_ = pkt.gop_id();
     return drop(DropReason::kGopThreshold, pkt.is_rtx);
@@ -66,17 +66,17 @@ DropReason FrameDropper::decide(const media::RtpPacket& pkt,
 
   // SVC rungs before the P/B ladder: an enhancement frame is never a
   // GoP dependency for lower layers, so these drops don't poison.
-  if (queue_drain > cfg_.drop_discardable_above && pkt.discardable()) {
+  if (queue_drain > kDropDiscardableAbove && pkt.discardable()) {
     return drop(DropReason::kTemporalLayer, pkt.is_rtx);
   }
-  if (queue_drain > cfg_.drop_temporal_above && pkt.layer().temporal > 0) {
+  if (queue_drain > kDropTemporalAbove && pkt.layer().temporal > 0) {
     return drop(DropReason::kTemporalLayer, pkt.is_rtx);
   }
-  if (queue_drain > cfg_.drop_spatial_above && pkt.layer().spatial > 0) {
+  if (queue_drain > kDropSpatialAbove && pkt.layer().spatial > 0) {
     return drop(DropReason::kSpatialLayer, pkt.is_rtx);
   }
 
-  if (queue_drain > cfg_.drop_p_above &&
+  if (queue_drain > kDropPAbove &&
       pkt.frame_type() == media::FrameType::kP &&
       pkt.layer().temporal == 0 && pkt.layer().spatial == 0) {
     poisoned_gop_id_ = pkt.gop_id();
@@ -84,7 +84,7 @@ DropReason FrameDropper::decide(const media::RtpPacket& pkt,
     return drop(DropReason::kPFrame, pkt.is_rtx);
   }
 
-  if (queue_drain > cfg_.drop_b_above &&
+  if (queue_drain > kDropBAbove &&
       pkt.frame_type() == media::FrameType::kB && !pkt.referenced()) {
     return drop(DropReason::kBFrame, pkt.is_rtx);
   }

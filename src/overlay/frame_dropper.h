@@ -16,23 +16,6 @@ namespace livenet::overlay {
 
 class FrameDropper {
  public:
-  struct Config {
-    Duration drop_b_above = 300 * kMs;    ///< queue drain time thresholds
-    Duration drop_p_above = 600 * kMs;
-    Duration drop_gop_above = 1200 * kMs;
-    // SVC rungs, interleaved below the paper's ladder (highest temporal
-    // layer first, then remaining temporal enhancements, then spatial
-    // enhancement — an enhancement drop blurs one layer and never
-    // poisons a GoP). Non-SVC streams carry layer {0,0}/discardable
-    // false and never match these rules.
-    Duration drop_discardable_above = 250 * kMs;  ///< top temporal layer
-    Duration drop_temporal_above = 400 * kMs;     ///< any temporal > 0
-    Duration drop_spatial_above = 500 * kMs;      ///< any spatial > 0
-  };
-
-  FrameDropper() : FrameDropper(Config()) {}
-  explicit FrameDropper(const Config& cfg) : cfg_(cfg) {}
-
   /// Decides the fate of `pkt` given the client queue's current drain
   /// time: kNone = forward, anything else names why it is dropped.
   /// Stateful: dropping a P frame poisons the rest of its GoP (later
@@ -84,9 +67,22 @@ class FrameDropper {
   bool under_pressure() const { return pressure_; }
 
  private:
+  /// Queue drain time thresholds.
+  static constexpr Duration kDropBAbove = 300 * kMs;
+  static constexpr Duration kDropPAbove = 600 * kMs;
+  static constexpr Duration kDropGopAbove = 1200 * kMs;
+  // SVC rungs, interleaved below the paper's ladder (highest temporal
+  // layer first, then remaining temporal enhancements, then spatial
+  // enhancement — an enhancement drop blurs one layer and never
+  // poisons a GoP). Non-SVC streams carry layer {0,0}/discardable
+  // false and never match these rules.
+  /// Top temporal layer.
+  static constexpr Duration kDropDiscardableAbove = 250 * kMs;
+  static constexpr Duration kDropTemporalAbove = 400 * kMs;  ///< temporal > 0
+  static constexpr Duration kDropSpatialAbove = 500 * kMs;   ///< spatial > 0
+
   telemetry::DropReason drop(telemetry::DropReason reason, bool is_rtx);
 
-  Config cfg_;
   std::uint64_t dropping_gop_id_ = 0;   ///< GoP being suppressed entirely
   std::uint64_t poisoned_gop_id_ = 0;   ///< GoP with a dropped P frame
   std::uint64_t poisoned_from_frame_ = 0;

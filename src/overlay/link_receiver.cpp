@@ -9,7 +9,7 @@ LinkReceiver::LinkReceiver(sim::Network* net, sim::NodeId self,
                            sim::NodeId peer, DeliverFn deliver, GapFn gap,
                            const Config& cfg)
     : net_(net), self_(self), peer_(peer), cfg_(cfg),
-      gcc_(cfg.gcc_start_rate_bps),
+      gcc_(kGccStartRateBps),
       buffer_(
           net->loop(), std::move(deliver), std::move(gap),
           [this](media::StreamId stream, bool audio,
@@ -24,8 +24,7 @@ LinkReceiver::LinkReceiver(sim::Network* net, sim::NodeId self,
             nack->missing = m;
             net_->send(self_, peer_, std::move(nack));
           },
-          cfg.buffer),
-      fec_(cfg.fec) {
+          cfg.buffer) {
   // Re-NACK holdoff needs the upstream round trip; without a link
   // (unit tests wiring buffers directly) the hint stays 0 and the
   // holdoff degrades to the scan interval.
@@ -59,7 +58,7 @@ void LinkReceiver::on_rtp(const media::RtpPacketPtr& pkt) {
   buffer_.on_packet(pkt);
   if (feedback_timer_ == sim::kInvalidEvent) {
     feedback_timer_ = net_->loop()->schedule_after(
-        cfg_.feedback_interval, [this] { send_feedback(); });
+        kFeedbackInterval, [this] { send_feedback(); });
   }
 }
 
@@ -91,7 +90,7 @@ void LinkReceiver::send_feedback() {
   net_->send(self_, peer_, std::move(fb));
   // Keep reporting while the link is active; the timer re-arms on the
   // next packet if we stop here after an idle interval.
-  feedback_timer_ = net_->loop()->schedule_after(cfg_.feedback_interval,
+  feedback_timer_ = net_->loop()->schedule_after(kFeedbackInterval,
                                                  [this] { send_feedback(); });
 }
 

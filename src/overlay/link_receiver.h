@@ -21,9 +21,6 @@ class LinkReceiver {
  public:
   struct Config {
     transport::ReceiveBuffer::Config buffer;
-    Duration feedback_interval = 100 * kMs;
-    double gcc_start_rate_bps = 20e6;
-    media::FecDecoder::Config fec;
     bool telemetry = true;  ///< FEC-recovery counters + hop records
   };
 
@@ -83,6 +80,9 @@ class LinkReceiver {
   }
 
  private:
+  static constexpr Duration kFeedbackInterval = 100 * kMs;
+  static constexpr double kGccStartRateBps = 20e6;
+
   void send_feedback();
   void inject_recovered(media::RtpPacketMut rec);
 

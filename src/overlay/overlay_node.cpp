@@ -17,16 +17,14 @@ OverlayNode::OverlayNode(sim::Network* net, OverlayMetrics* metrics,
       cfg_(cfg),
       senders_(net, this, cfg_.sender),
       recovery_(net, this,
-                RecoveryEngine::Config{cfg_.receiver, cfg_.packet_cache_gops,
-                                       cfg_.packet_cache_max_packets,
-                                       /*telemetry=*/true,
-                                       cfg_.multi_supplier_rtx}),
+                RecoveryEngine::Config{
+                    .receiver = cfg_.receiver,
+                    .telemetry = true,
+                    .multi_supplier = cfg_.multi_supplier_rtx}),
       forwarding_(&cfg_, &env_, &senders_),
       session_(net, this, metrics,
-               SessionConfig{cfg_.fast_proc_delay, cfg_.switch_stall_threshold,
-                             cfg_.switch_skip_threshold,
-                             /*downgrade_pressure_packets=*/150,
-                             /*eager_view_state=*/true},
+               SessionConfig{.client_extra_delay = kFastProcDelay,
+                             .eager_view_state = true},
                &streams_),
       control_(&cfg_, &env_, &streams_, &senders_, &recovery_, &session_,
                &forwarding_) {

@@ -46,20 +46,11 @@ struct OverlayNodeConfig {
   /// hop) instead of immediately on receipt. Used by the fast/slow-path
   /// ablation benchmark.
   bool fast_path_enabled = true;
-  Duration fast_proc_delay = 2 * kMs;  ///< fast-path per-packet processing
-  double node_capacity_bps = 2e9;      ///< egress capacity for load calc
   std::size_t max_streams = 1000;      ///< stream-count load normalizer
   double overload_threshold = 0.8;     ///< the paper's 80% target
   Duration report_interval = 60 * kSec;    ///< Global Discovery reports
   Duration overload_check_interval = 5 * kSec;
   Duration unsubscribe_linger = 5 * kSec;  ///< idle time before unsub
-  std::size_t packet_cache_gops = 2;
-  std::uint32_t switch_stall_threshold = 2;  ///< stalls/report triggering switch
-  std::uint32_t switch_skip_threshold = 8;  ///< frame gaps/report likewise
-  Duration path_cache_ttl = 10 * kMin;  ///< pushed/cached path validity
-  Duration switch_cooldown = 5 * kSec;  ///< min gap between re-routes
-  Duration path_request_timeout = 2 * kSec;  ///< lookup retry (lost request)
-  std::size_t packet_cache_max_packets = 4096;  ///< per-stream hard cap
   LinkSender::Config sender;
   LinkReceiver::Config receiver;
 
@@ -74,9 +65,6 @@ struct OverlayNodeConfig {
   /// fec_rate when set.
   bool fec_adaptive = false;
   std::uint32_t fec_group_packets = 10;  ///< K media packets per parity
-  /// Parity bandwidth clamp: parity output on a link may not exceed
-  /// this fraction of the link's current pacing rate.
-  double fec_budget_fraction = 0.05;
   /// Multi-supplier RTX: race NACKs to the lowest-RTT established
   /// supplier with staggered fallback to the next.
   bool multi_supplier_rtx = false;

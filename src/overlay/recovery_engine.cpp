@@ -53,7 +53,7 @@ void RecoveryEngine::send_nack_to(sim::NodeId target, sim::NodeId primary,
     for (const media::Seq s : seqs) {
       rtx_redirects_[{stream, s}] = primary;
     }
-    while (rtx_redirects_.size() > cfg_.max_redirects) {
+    while (rtx_redirects_.size() > kMaxRedirects) {
       rtx_redirects_.erase(rtx_redirects_.begin());
     }
     if (cfg_.telemetry) {
@@ -90,7 +90,7 @@ void RecoveryEngine::route_nack(sim::NodeId primary, media::StreamId stream,
 
   // Staggered fallback: if the holes survive a best-supplier round trip
   // (plus slack), escalate the survivors to the next supplier.
-  const Duration stagger = rtt_to(best) + cfg_.stagger_extra;
+  const Duration stagger = rtt_to(best) + kStaggerExtra;
   const sim::EventId id = net_->loop()->schedule_after(
       stagger, [this, primary, next, stream, audio, missing] {
         const LinkReceiver* rx = find_receiver(primary);

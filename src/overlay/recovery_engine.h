@@ -27,8 +27,6 @@ class RecoveryEngine {
  public:
   struct Config {
     LinkReceiver::Config receiver;
-    std::size_t cache_gops = 2;
-    std::size_t cache_max_packets = 4096;
     bool telemetry = true;  ///< record cache-hit counters + trace hops
     /// Multi-supplier RTX (AutoRec-style): route each NACK to the
     /// lowest-RTT established supplier of the stream instead of the
@@ -36,19 +34,11 @@ class RecoveryEngine {
     /// supplier if the holes survive a round trip. Off = the NACK goes
     /// straight to the upstream peer (bit-identical legacy behaviour).
     bool multi_supplier = false;
-    /// Slack added to the best supplier's RTT before escalating to the
-    /// next supplier.
-    Duration stagger_extra = 20 * kMs;
-    /// Bound on outstanding (stream, seq) -> origin-pipeline redirects.
-    std::size_t max_redirects = 1024;
   };
 
   RecoveryEngine(sim::Network* net, const sim::SimNode* owner,
                  const Config& cfg)
-      : net_(net),
-        owner_(owner),
-        cfg_(cfg),
-        packet_cache_(cfg.cache_gops, cfg.cache_max_packets) {}
+      : net_(net), owner_(owner), cfg_(cfg) {}
 
   ~RecoveryEngine() { cancel_staggers(); }
 
@@ -154,10 +144,16 @@ class RecoveryEngine {
     cancel_staggers();
     rtx_redirects_.clear();
     receivers_.clear();
-    packet_cache_ = PacketGopCache(cfg_.cache_gops, cfg_.cache_max_packets);
+    packet_cache_ = PacketGopCache();
   }
 
  private:
+  /// Slack added to the best supplier's RTT before escalating to the
+  /// next supplier.
+  static constexpr Duration kStaggerExtra = 20 * kMs;
+  /// Bound on outstanding (stream, seq) -> origin-pipeline redirects.
+  static constexpr std::size_t kMaxRedirects = 1024;
+
   void cancel_staggers();
   void note_alt_rtx_arrival(sim::NodeId from,
                             const media::RtpPacketPtr& pkt) const;
@@ -177,7 +173,7 @@ class RecoveryEngine {
                      SeededHash<sim::NodeId>>
       receivers_;
   /// (stream, producer seq) -> pipeline (upstream peer) whose hole an
-  /// alternate supplier's RTX fills. FIFO-bounded at max_redirects.
+  /// alternate supplier's RTX fills. FIFO-bounded at kMaxRedirects.
   std::map<std::pair<media::StreamId, media::Seq>, sim::NodeId>
       rtx_redirects_;
   std::unordered_set<sim::EventId> stagger_timers_;

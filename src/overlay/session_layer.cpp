@@ -198,10 +198,10 @@ void SessionLayer::handle_quality_report(NodeId client,
   // switch to an alternative path (§4.4): a burst immediately,
   // sustained degradation after consecutive bad windows.
   const bool bad = rep.stalls_since_last > 0 ||
-                   net_skips >= cfg_.switch_skip_threshold;
+                   net_skips >= kSwitchSkipThreshold;
   view.bad_quality_windows = bad ? view.bad_quality_windows + 1 : 0;
-  if (rep.stalls_since_last >= cfg_.switch_stall_threshold ||
-      net_skips >= cfg_.switch_skip_threshold ||
+  if (rep.stalls_since_last >= kSwitchStallThreshold ||
+      net_skips >= kSwitchSkipThreshold ||
       view.bad_quality_windows >= 5) {
     view.bad_quality_windows = 0;
     if (hooks_.quality_switch) hooks_.quality_switch(view.stream);
@@ -465,7 +465,7 @@ void SessionLayer::send_to_client(NodeId client, ClientViewState& view,
   // offered (dropped ones included — sustained dropping IS pressure).
   if (view.dropper.under_pressure()) {
     if (++view.pressure_count >
-        static_cast<int>(cfg_.downgrade_pressure_packets)) {
+        static_cast<int>(kDowngradePressurePackets)) {
       view.pressure_count = 0;
       if (!narrow_mask_step(client, view) && view.ladder != nullptr &&
           view.ladder_pos + 1 < view.ladder->size()) {

@@ -81,9 +81,6 @@ struct ClientViewState {
 
 struct SessionConfig {
   Duration client_extra_delay = 2 * kMs;  ///< per-packet processing delay
-  std::uint32_t switch_stall_threshold = 2;
-  std::uint32_t switch_skip_threshold = 8;
-  std::uint32_t downgrade_pressure_packets = 150;  ///< ~1.5 s of video
   /// Create the ClientViewState (with its simulcast ladder) at request
   /// time so it survives a deferred attach. LiveNet does; Hier creates
   /// it only when the client actually attaches.
@@ -202,6 +199,11 @@ class SessionLayer {
   void clear() { views_.clear(); }
 
  private:
+  static constexpr std::uint32_t kSwitchStallThreshold = 2;  ///< stalls/report
+  static constexpr std::uint32_t kSwitchSkipThreshold = 8;  ///< gaps/report
+  /// Under-pressure packets before a downgrade (~1.5 s of video).
+  static constexpr std::uint32_t kDowngradePressurePackets = 150;
+
   /// Returns the shared immutable copy of `ladder`, creating it on
   /// first sight. Pointers stay valid for the session layer's lifetime.
   const std::vector<media::StreamId>* intern_ladder(

@@ -17,9 +17,6 @@ std::string to_string(FaultKind k) {
   return "unknown";
 }
 
-FaultInjector::FaultInjector(Network* net, const Config& cfg)
-    : net_(net), cfg_(cfg) {}
-
 FaultInjector::~FaultInjector() {
   for (const EventId id : pending_) net_->loop()->cancel(id);
 }
@@ -138,14 +135,14 @@ void FaultInjector::watch_recovery(std::size_t idx) {
     watch.emplace_back(l, l->stats().packets_delivered);
   }
   if (watch.empty()) return;
-  const Time deadline = net_->loop()->now() + cfg_.recovery_timeout;
+  const Time deadline = net_->loop()->now() + kRecoveryTimeout;
   poll_recovery(idx, std::move(watch), deadline);
 }
 
 void FaultInjector::poll_recovery(
     std::size_t idx, std::vector<std::pair<Link*, std::uint64_t>> watch,
     Time deadline) {
-  schedule(net_->loop()->now() + cfg_.recovery_poll,
+  schedule(net_->loop()->now() + kRecoveryPoll,
            [this, idx, watch = std::move(watch), deadline] {
              for (const auto& [l, baseline] : watch) {
                if (l->stats().packets_delivered > baseline) {
@@ -186,7 +183,7 @@ void FaultInjector::load_plan(
   auto draw_outage = [this](Rng& rng_ref, Duration mean) {
     const auto d = static_cast<Duration>(
         rng_ref.exponential(to_sec(mean)) * static_cast<double>(kSec));
-    return std::max(d, cfg_.min_outage);
+    return std::max(d, kMinOutage);
   };
 
   if (!links.empty()) {

@@ -92,17 +92,10 @@ struct FaultPlan {
 
 class FaultInjector {
  public:
-  struct Config {
-    Duration recovery_poll = 10 * kMs;     ///< first-packet poll cadence
-    Duration recovery_timeout = 30 * kSec; ///< give up watching after this
-    Duration min_outage = 250 * kMs;       ///< floor on random durations
-  };
-
   /// Node-fault upcall (crash at injection, restart at repair).
   using NodeHandler = std::function<void(NodeId)>;
 
-  explicit FaultInjector(Network* net) : FaultInjector(net, Config{}) {}
-  FaultInjector(Network* net, const Config& cfg);
+  explicit FaultInjector(Network* net) : net_(net) {}
   ~FaultInjector();
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -130,6 +123,10 @@ class FaultInjector {
   std::size_t faults_active() const { return active_; }
 
  private:
+  static constexpr Duration kRecoveryPoll = 10 * kMs;  ///< first-packet poll
+  static constexpr Duration kRecoveryTimeout = 30 * kSec;  ///< stop watching
+  static constexpr Duration kMinOutage = 250 * kMs;  ///< random-duration floor
+
   static std::uint64_t link_key(const Link* l) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(l->src()))
             << 32) |
@@ -148,7 +145,6 @@ class FaultInjector {
   std::vector<Link*> fault_links(const FaultSpec& spec) const;
 
   Network* net_;
-  Config cfg_;
   NodeHandler on_crash_;
   NodeHandler on_restart_;
   std::vector<FaultRecord> records_;

@@ -92,19 +92,19 @@ void TrendlineEstimator::update(Duration send_delta, Duration arrival_delta,
                                 Time arrival_time) {
   if (first_arrival_ == kNever) {
     first_arrival_ = arrival_time;
-    threshold_ = cfg_.initial_threshold;
+    threshold_ = kInitialThreshold;
     threshold_init_ = true;
   }
   const double delay_delta_ms = to_ms(arrival_delta - send_delta);
   acc_delay_ms_ += delay_delta_ms;
-  smoothed_delay_ms_ = cfg_.smoothing * smoothed_delay_ms_ +
-                       (1.0 - cfg_.smoothing) * acc_delay_ms_;
+  smoothed_delay_ms_ = kSmoothing * smoothed_delay_ms_ +
+                       (1.0 - kSmoothing) * acc_delay_ms_;
 
   samples_.emplace_back(to_ms(arrival_time - first_arrival_),
                         smoothed_delay_ms_);
-  if (samples_.size() > cfg_.window_size) samples_.pop_front();
+  if (samples_.size() > kWindowSize) samples_.pop_front();
 
-  if (samples_.size() < cfg_.window_size) {
+  if (samples_.size() < kWindowSize) {
     return;  // not enough history for a stable slope
   }
 
@@ -131,7 +131,7 @@ void TrendlineEstimator::detect(double trend, Duration send_delta, Time now) {
   // way WebRTC does: multiply by the number of samples and a gain.
   const double modified_trend = trend *
                                 static_cast<double>(samples_.size()) *
-                                cfg_.threshold_gain;
+                                kThresholdGain;
   if (modified_trend > threshold_) {
     if (overuse_start_ == kNever) {
       overuse_start_ = now;
@@ -139,7 +139,7 @@ void TrendlineEstimator::detect(double trend, Duration send_delta, Time now) {
     }
     ++consecutive_overuses_;
     // Require sustained overuse (in time and count) before signalling.
-    if (now - overuse_start_ >= cfg_.overuse_time_th &&
+    if (now - overuse_start_ >= kOveruseTimeTh &&
         consecutive_overuses_ > 1) {
       state_ = BandwidthUsage::kOverusing;
     }
@@ -162,7 +162,7 @@ void TrendlineEstimator::adapt_threshold(double modified_trend, Time now) {
     last_update_ = now;
     return;
   }
-  const double k = abs_trend < threshold_ ? cfg_.k_down : cfg_.k_up;
+  const double k = abs_trend < threshold_ ? kDown : kUp;
   const double dt_ms = std::min(to_ms(now - last_update_), 100.0);
   threshold_ += k * (abs_trend - threshold_) * dt_ms;
   threshold_ = std::clamp(threshold_, 6.0, 600.0);
@@ -194,7 +194,7 @@ double AimdRateControl::update(BandwidthUsage usage,
   switch (state_) {
     case State::kDecrease: {
       if (incoming_valid) {
-        rate_bps_ = cfg_.decrease_factor * incoming_rate_bps;
+        rate_bps_ = kDecreaseFactor * incoming_rate_bps;
         // Track the incoming rate near saturation (additive regime).
         if (avg_max_rate_bps_ < 0.0) {
           avg_max_rate_bps_ = incoming_rate_bps;
@@ -203,7 +203,7 @@ double AimdRateControl::update(BandwidthUsage usage,
               0.95 * avg_max_rate_bps_ + 0.05 * incoming_rate_bps;
         }
       } else {
-        rate_bps_ *= cfg_.decrease_factor;
+        rate_bps_ *= kDecreaseFactor;
       }
       state_ = State::kHold;
       last_change_ = now;
@@ -217,12 +217,12 @@ double AimdRateControl::update(BandwidthUsage usage,
           avg_max_rate_bps_ > 0.0 && rate_bps_ > 0.9 * avg_max_rate_bps_;
       if (near_max) {
         // Additive increase: about one packet per response interval.
-        const double packets_per_sec = 1.0 / to_sec(cfg_.rtt);
+        const double packets_per_sec = 1.0 / to_sec(kRtt);
         rate_bps_ += 8.0 * 1200.0 * packets_per_sec * elapsed;
       } else {
         // Multiplicative increase, capped per update.
         const double factor =
-            std::pow(cfg_.increase_factor, std::min(elapsed, 1.0));
+            std::pow(kIncreaseFactor, std::min(elapsed, 1.0));
         rate_bps_ *= factor;
       }
       // Near a recent congestion episode, never run far ahead of what
@@ -241,7 +241,7 @@ double AimdRateControl::update(BandwidthUsage usage,
       last_change_ = now;
       break;
   }
-  rate_bps_ = std::clamp(rate_bps_, cfg_.min_rate_bps, cfg_.max_rate_bps);
+  rate_bps_ = std::clamp(rate_bps_, kMinRateBps, kMaxRateBps);
   return rate_bps_;
 }
 
@@ -263,18 +263,18 @@ void GccReceiver::on_packet(Time send_time, Time arrival_time,
 
 void GccSender::on_feedback(double remb_bps, double loss_fraction) {
   if (remb_bps > 0.0) remb_bps_ = remb_bps;
-  if (loss_fraction > cfg_.loss_high) {
+  if (loss_fraction > kLossHigh) {
     loss_based_bps_ *= (1.0 - 0.5 * loss_fraction);
-  } else if (loss_fraction < cfg_.loss_low) {
+  } else if (loss_fraction < kLossLow) {
     loss_based_bps_ *= 1.05;
   }
   loss_based_bps_ =
-      std::clamp(loss_based_bps_, cfg_.min_rate_bps, cfg_.max_rate_bps);
+      std::clamp(loss_based_bps_, cfg_.min_rate_bps, kMaxRateBps);
 }
 
 double GccSender::pacing_rate_bps() const {
   return std::clamp(std::min(loss_based_bps_, remb_bps_), cfg_.min_rate_bps,
-                    cfg_.max_rate_bps);
+                    kMaxRateBps);
 }
 
 }  // namespace livenet::transport

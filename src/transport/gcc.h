@@ -49,19 +49,6 @@ enum class BandwidthUsage { kNormal, kOverusing, kUnderusing };
 /// detection (the receiver-side heart of GCC).
 class TrendlineEstimator {
  public:
-  struct Config {
-    std::size_t window_size = 20;     ///< regression window (samples)
-    double smoothing = 0.9;           ///< EWMA on accumulated delay
-    double threshold_gain = 4.0;      ///< scales the modified trend
-    double initial_threshold = 12.5;  ///< ms, gamma in the GCC paper
-    double k_up = 0.0087;             ///< threshold adaptation (raise)
-    double k_down = 0.039;            ///< threshold adaptation (decay)
-    Duration overuse_time_th = 10 * kMs;  ///< sustained overuse required
-  };
-
-  TrendlineEstimator() : TrendlineEstimator(Config()) {}
-  explicit TrendlineEstimator(const Config& cfg) : cfg_(cfg) {}
-
   /// Feeds one packet-group sample: the change in one-way delay between
   /// consecutive groups. `send_delta`/`arrival_delta` in microseconds.
   void update(Duration send_delta, Duration arrival_delta, Time arrival_time);
@@ -71,10 +58,18 @@ class TrendlineEstimator {
   double threshold_ms() const { return threshold_; }
 
  private:
+  static constexpr std::size_t kWindowSize = 20;  ///< regression samples
+  static constexpr double kSmoothing = 0.9;  ///< EWMA on accumulated delay
+  static constexpr double kThresholdGain = 4.0;  ///< scales the trend
+  static constexpr double kInitialThreshold = 12.5;  ///< ms, GCC's gamma
+  static constexpr double kUp = 0.0087;   ///< threshold adaptation (raise)
+  static constexpr double kDown = 0.039;  ///< threshold adaptation (decay)
+  /// Sustained overuse required before signalling.
+  static constexpr Duration kOveruseTimeTh = 10 * kMs;
+
   void detect(double trend_ms, Duration send_delta, Time now);
   void adapt_threshold(double modified_trend_ms, Time now);
 
-  Config cfg_;
   std::deque<std::pair<double, double>> samples_;  // (time ms, smoothed delay)
   double acc_delay_ms_ = 0.0;
   double smoothed_delay_ms_ = 0.0;
@@ -113,18 +108,8 @@ class InterArrival {
 /// into a REMB estimate.
 class AimdRateControl {
  public:
-  struct Config {
-    double min_rate_bps = 64e3;
-    double max_rate_bps = 500e6;
-    double decrease_factor = 0.85;  ///< beta on overuse
-    double increase_factor = 1.25;  ///< multiplicative increase per second
-    Duration rtt = 50 * kMs;        ///< assumed response interval
-  };
-
   explicit AimdRateControl(double start_rate_bps)
-      : AimdRateControl(start_rate_bps, Config()) {}
-  AimdRateControl(double start_rate_bps, const Config& cfg)
-      : cfg_(cfg), rate_bps_(start_rate_bps) {}
+      : rate_bps_(start_rate_bps) {}
 
   /// Updates the estimate given the detector state and the measured
   /// incoming rate. `incoming_valid` gates the throughput-based caps
@@ -137,7 +122,13 @@ class AimdRateControl {
  private:
   enum class State { kHold, kIncrease, kDecrease };
 
-  Config cfg_;
+  static constexpr double kMinRateBps = 64e3;
+  static constexpr double kMaxRateBps = 500e6;
+  static constexpr double kDecreaseFactor = 0.85;  ///< beta on overuse
+  /// Multiplicative increase per second.
+  static constexpr double kIncreaseFactor = 1.25;
+  static constexpr Duration kRtt = 50 * kMs;  ///< assumed response interval
+
   State state_ = State::kIncrease;
   double rate_bps_;
   Time last_change_ = kNever;
@@ -174,15 +165,12 @@ class GccSender {
   struct Config {
     double start_rate_bps = 10e6;
     double min_rate_bps = 64e3;
-    double max_rate_bps = 500e6;
-    double loss_high = 0.10;  ///< above: multiplicative decrease
-    double loss_low = 0.02;   ///< below: gentle probe upward
   };
 
   GccSender() : GccSender(Config()) {}
   explicit GccSender(const Config& cfg)
       : cfg_(cfg), loss_based_bps_(cfg.start_rate_bps),
-        remb_bps_(cfg.max_rate_bps) {}
+        remb_bps_(kMaxRateBps) {}
 
   /// Feedback from the receiver (REMB + loss fraction).
   void on_feedback(double remb_bps, double loss_fraction);
@@ -194,6 +182,10 @@ class GccSender {
   double remb_bps() const { return remb_bps_; }
 
  private:
+  static constexpr double kMaxRateBps = 500e6;
+  static constexpr double kLossHigh = 0.10;  ///< above: multiplicative decrease
+  static constexpr double kLossLow = 0.02;   ///< below: gentle probe upward
+
   Config cfg_;
   double loss_based_bps_;
   double remb_bps_;

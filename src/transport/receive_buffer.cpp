@@ -197,7 +197,7 @@ void ReceiveBuffer::scan() {
   // nack_interval — the old behaviour — duplicated every RTX on links
   // whose RTT exceeds the scan period.
   const Duration holdoff =
-      std::max(cfg_.nack_interval, rtt_hint_ + cfg_.rtx_holdoff_margin);
+      std::max(cfg_.nack_interval, rtt_hint_ + kRtxHoldoffMargin);
   bool any_pending = false;
   for (auto& [key, st] : streams_) {
     const media::StreamId stream = key / 2;

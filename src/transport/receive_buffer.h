@@ -30,10 +30,6 @@ class ReceiveBuffer {
     Duration giveup_after = 500 * kMs;  ///< abandon recovery beyond this
     int max_nacks_per_seq = 8;          ///< retry bound per missing seq
     std::size_t max_buffered = 4096;    ///< out-of-order packets per stream
-    /// Extra slack on top of the upstream RTT before a NACKed seq may be
-    /// re-NACKed (see set_rtt_hint): covers pacer queueing on the
-    /// retransmission path.
-    Duration rtx_holdoff_margin = 10 * kMs;
     /// Record hole-fill recovery latencies into the metrics registry.
     bool telemetry = false;
   };
@@ -63,7 +59,7 @@ class ReceiveBuffer {
 
   /// Upstream-link RTT hint. A NACKed seq is not re-NACKed until the
   /// requested retransmission had a full round trip (plus
-  /// rtx_holdoff_margin) to arrive. Without this, any link whose RTT
+  /// kRtxHoldoffMargin) to arrive. Without this, any link whose RTT
   /// exceeds nack_interval re-requested every scan while the RTX was
   /// still in flight — duplicate retransmissions of the same seq.
   void set_rtt_hint(Duration rtt) { rtt_hint_ = rtt < 0 ? 0 : rtt; }
@@ -112,6 +108,11 @@ class ReceiveBuffer {
   double take_loss_fraction();
 
  private:
+  /// Extra slack on top of the upstream RTT before a NACKed seq may be
+  /// re-NACKed (see set_rtt_hint): covers pacer queueing on the
+  /// retransmission path.
+  static constexpr Duration kRtxHoldoffMargin = 10 * kMs;
+
   struct MissInfo {
     Time first_missed = 0;
     Time last_nack = kNever;

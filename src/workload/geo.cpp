@@ -47,7 +47,7 @@ Duration GeoModel::one_way_delay(const GeoSite& a, const GeoSite& b) const {
   const double dy = a.y - b.y;
   const double ms = std::sqrt(dx * dx + dy * dy);
   const auto d = static_cast<Duration>(ms * static_cast<double>(kMs));
-  return std::max(cfg_.min_one_way, d);
+  return std::max(kMinOneWay, d);
 }
 
 }  // namespace livenet::workload

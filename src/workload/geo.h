@@ -23,8 +23,10 @@ struct GeoConfig {
   int countries = 6;
   double country_spread = 45.0;    ///< inter-country scale (ms)
   double country_radius = 9.0;     ///< intra-country scale (ms)
-  Duration min_one_way = 2 * kMs;  ///< floor (local loop + routing)
 };
+
+/// One-way delay floor (local loop + routing).
+inline constexpr Duration kMinOneWay = 2 * kMs;
 
 class GeoModel {
  public:

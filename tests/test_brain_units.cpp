@@ -168,6 +168,30 @@ TEST(BrainNode, ServiceQueueBuildsResponseTimeUnderBurst) {
   EXPECT_EQ(consumer.responses.size(), 10u);
 }
 
+TEST(BrainNode, DiscoveryUsesTheRoutingOverloadThreshold) {
+  // One overload bar for the whole Brain: lowering the solver's
+  // threshold must also lower the one alarms are marked against.
+  sim::EventLoop loop;
+  sim::Network net(&loop);
+  BrainConfig cfg;
+  cfg.routing.overload_threshold = 0.6;
+  BrainNode brain(&net, cfg);
+  const auto brain_id = net.add_node(&brain);
+  Probe node;
+  const auto nid = net.add_node(&node);
+  sim::LinkConfig lc;
+  lc.propagation_delay = 1 * kMs;
+  net.add_bidi_link(brain_id, nid, lc);
+
+  auto alarm = sim::make_message<overlay::OverloadAlarm>();
+  alarm->node = nid;
+  alarm->node_load = 0.7;
+  net.send(nid, brain_id, alarm);
+  loop.run_until(1 * kSec);
+
+  EXPECT_TRUE(brain.pib().node_overloaded(nid));
+}
+
 TEST(BrainNode, UnknownStreamYieldsEmptyPaths) {
   sim::EventLoop loop;
   sim::Network net(&loop);

@@ -206,7 +206,7 @@ TEST(NodeFailure, CrashMidPathRequestStopsRetries) {
   const auto lookups_at_crash = sys.brain().metrics().path_requests.size();
 
   // The response lands on a node with no matching pending lookup; the
-  // retry timer (path_request_timeout) finds its entry swept and dies.
+  // retry timer (kPathRequestTimeout) finds its entry swept and dies.
   // Nothing re-establishes the stream or re-asks the Brain.
   sys.loop().run_until(40 * kSec);
   EXPECT_EQ(sys.node(consumer).fib().stream_count(), 0u);

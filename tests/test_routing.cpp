@@ -10,17 +10,15 @@ namespace livenet::brain {
 namespace {
 
 TEST(Weights, PenaltyRangesFromOneToTwo) {
-  const WeightParams p;
-  EXPECT_NEAR(utilization_penalty(0.0, p), 1.0, 0.01);
-  EXPECT_NEAR(utilization_penalty(1.0, p), 2.0, 0.01);
-  EXPECT_NEAR(utilization_penalty(0.8, p), 1.5, 0.01);  // beta midpoint
+  EXPECT_NEAR(utilization_penalty(0.0), 1.0, 0.01);
+  EXPECT_NEAR(utilization_penalty(1.0), 2.0, 0.01);
+  EXPECT_NEAR(utilization_penalty(0.8), 1.5, 0.01);  // beta midpoint
 }
 
 TEST(Weights, PenaltySharpAroundBeta) {
-  const WeightParams p;
   // alpha=0.5 in percent units: 10 points below beta ~ 1, above ~ 2.
-  EXPECT_LT(utilization_penalty(0.70, p), 1.01);
-  EXPECT_GT(utilization_penalty(0.90, p), 1.99);
+  EXPECT_LT(utilization_penalty(0.70), 1.01);
+  EXPECT_GT(utilization_penalty(0.90), 1.99);
 }
 
 TEST(Weights, LinkWeightExpectedRttWithLoss) {
@@ -28,9 +26,8 @@ TEST(Weights, LinkWeightExpectedRttWithLoss) {
   ls.rtt = 100 * kMs;
   ls.loss_rate = 0.1;
   ls.utilization = 0.0;
-  const WeightParams p;
   // Expected RTT = 0.1*200ms + 0.9*100ms = 110ms, penalty ~ 1.
-  EXPECT_NEAR(link_weight(ls, 0.0, 0.0, p),
+  EXPECT_NEAR(link_weight(ls, 0.0, 0.0),
               110.0 * static_cast<double>(kMs), 2000.0);
 }
 
@@ -39,9 +36,8 @@ TEST(Weights, NodeUtilizationDominatesLinkUtilization) {
   ls.rtt = 100 * kMs;
   ls.loss_rate = 0.0;
   ls.utilization = 0.1;
-  const WeightParams p;
-  const double calm = link_weight(ls, 0.1, 0.1, p);
-  const double hot = link_weight(ls, 0.95, 0.1, p);
+  const double calm = link_weight(ls, 0.1, 0.1);
+  const double hot = link_weight(ls, 0.95, 0.1);
   EXPECT_GT(hot, 1.8 * calm);
 }
 

@@ -30,8 +30,8 @@ TEST(Geo, OneWayDelayIsMetricLike) {
   const GeoSite a = geo.sample_site(0);
   const GeoSite b = geo.sample_site(1);
   EXPECT_EQ(geo.one_way_delay(a, b), geo.one_way_delay(b, a));  // symmetric
-  EXPECT_GE(geo.one_way_delay(a, b), cfg.min_one_way);          // floored
-  EXPECT_GE(geo.one_way_delay(a, a), cfg.min_one_way);
+  EXPECT_GE(geo.one_way_delay(a, b), kMinOneWay);  // floored
+  EXPECT_GE(geo.one_way_delay(a, a), kMinOneWay);
 }
 
 TEST(Geo, InterCountryFartherThanIntraOnAverage) {
