@@ -1,7 +1,7 @@
 // Microbenchmark: Global Routing recompute cost — Yen's KSP over all
 // node pairs as a function of overlay size, for the paper's k = 3 and
 // the tree-only k = 1, plus the preserved reference pipeline for
-// like-for-like speedup numbers and the incremental (dirty-set) cycle.
+// like-for-like speedup numbers.
 // The 600-node arguments match the paper's deployment scale (§4.3).
 // The main recompute sweep carries a threads axis (the Parallel Brain
 // fan-out); output is byte-identical across thread counts, so the axis
@@ -10,6 +10,7 @@
 
 #include "bench_main.h"
 #include "brain/global_routing.h"
+#include "routing_oracle.h"
 #include "util/rng.h"
 
 namespace {
@@ -83,10 +84,10 @@ void BM_GlobalRoutingRecomputeRef(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const GlobalDiscovery view = make_view(n, 7);
   const auto nodes = make_nodes(n);
-  GlobalRouting routing;
+  const GlobalRoutingConfig cfg;
   for (auto _ : state) {
     Pib pib;
-    const auto res = routing.recompute_reference(view, nodes, {}, &pib);
+    const auto res = recompute_reference(cfg, view, nodes, {}, &pib);
     benchmark::DoNotOptimize(res.paths_installed);
   }
   state.counters["pairs"] = static_cast<double>(n) * (n - 1);
@@ -113,45 +114,6 @@ void BM_GlobalRoutingRecomputeK1(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalRoutingRecomputeK1)
     ->Arg(120)->Arg(240)->Arg(600)
-    ->Unit(benchmark::kMillisecond);
-
-// Steady-state incremental cycle: a handful of links move per cycle,
-// everything else rides the dirty-set skip (with the periodic full
-// refresh mixed in at its configured cadence).
-void BM_GlobalRoutingIncremental(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  GlobalDiscovery view = make_view(n, 7);
-  const auto nodes = make_nodes(n);
-  GlobalRoutingConfig cfg;
-  cfg.incremental = true;
-  GlobalRouting routing(cfg);
-  Pib pib;
-  routing.recompute(view, nodes, {}, &pib);  // seed cycle (full)
-  Rng rng(13);
-  int epoch = 0;
-  for (auto _ : state) {
-    // Move two links of one node far enough to trip the dirty bar
-    // (load held steady so only the links go dirty, not the node).
-    overlay::NodeStateReport rep;
-    rep.node = epoch % n;
-    rep.node_load = view.node_load(rep.node);
-    for (int b = 1; b <= 2; ++b) {
-      overlay::LinkReport lr;
-      lr.to = (rep.node + b) % n;
-      lr.rtt = static_cast<Duration>(rng.uniform(10.0, 300.0) *
-                                     static_cast<double>(kMs));
-      lr.loss_rate = 0.0005;
-      lr.utilization = 0.3;
-      rep.links.push_back(lr);
-    }
-    view.on_report(rep, 0, nullptr);
-    ++epoch;
-    const auto res = routing.recompute(view, nodes, {}, &pib);
-    benchmark::DoNotOptimize(res.pairs_solved);
-  }
-}
-BENCHMARK(BM_GlobalRoutingIncremental)
-    ->Arg(60)->Arg(120)
     ->Unit(benchmark::kMillisecond);
 
 void BM_YenKsp(benchmark::State& state) {

@@ -57,6 +57,13 @@ void BrainNode::sync_replicas_pib() {
   }
 }
 
+void BrainNode::mirror_overload(OverloadMarks marks) {
+  if (marks.empty()) return;
+  auto upd = sim::make_message<ReplicaOverloadUpdate>();
+  upd->marks = std::move(marks);
+  for (const auto r : replicas_) net_->send(node_id(), r, upd);
+}
+
 void BrainNode::start() {
   recompute_routes();
   if (routing_timer_ == sim::kInvalidEvent) {
@@ -76,7 +83,6 @@ void BrainNode::recompute_routes() {
   ++metrics_.recomputes;
   const auto& tel = telemetry::handles();
   tel.brain_pairs_solved->add(metrics_.last_recompute.pairs_solved);
-  tel.brain_pairs_skipped->add(metrics_.last_recompute.pairs_skipped);
   tel.brain_last_resort_pairs->add(
       metrics_.last_recompute.last_resort_pairs);
   tel.brain_recompute_ms->observe(
@@ -126,31 +132,14 @@ void BrainNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   if (const auto rep = sim::msg_cast<const NodeStateReport>(msg)) {
     ++metrics_.reports_received;
     discovery_.on_report(*rep, net_->loop()->now(), &pib_);
-    // Mirror the implied overload clears to the replicas.
-    const double threshold = cfg_.routing.overload_threshold;
-    if (!replicas_.empty() && rep->node_load < threshold) {
-      auto upd = sim::make_message<ReplicaOverloadUpdate>();
-      upd->node = rep->node;
-      upd->overloaded = false;
-      for (const auto& lr : rep->links) {
-        if (lr.utilization < threshold) {
-          upd->hot_links.push_back(lr.to);
-        }
-      }
-      for (const auto r : replicas_) net_->send(node_id(), r, upd);
-    }
+    if (!replicas_.empty()) mirror_overload(discovery_.overload_marks(*rep));
     return;
   }
   if (const auto alarm = sim::msg_cast<const OverloadAlarm>(msg)) {
     ++metrics_.alarms_received;
     discovery_.on_alarm(*alarm, &pib_);
-    if (!replicas_.empty() &&
-        alarm->node_load >= cfg_.routing.overload_threshold) {
-      auto upd = sim::make_message<ReplicaOverloadUpdate>();
-      upd->node = alarm->node;
-      upd->overloaded = true;
-      upd->hot_links = alarm->overloaded_links;
-      for (const auto r : replicas_) net_->send(node_id(), r, upd);
+    if (!replicas_.empty()) {
+      mirror_overload(discovery_.overload_marks(*alarm));
     }
     return;
   }

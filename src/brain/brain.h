@@ -26,8 +26,8 @@ struct BrainConfig {
   Duration routing_interval = 10 * kMin;  ///< Global Routing cycle
   Duration request_service_time = 1500 * kUs;  ///< per path request
   std::size_t push_top_n = 3;  ///< popular streams to push proactively
-  /// Also the source of the overload threshold Discovery and the
-  /// replica mirroring apply, so the Brain has exactly one.
+  /// Also the source of Discovery's overload threshold, whose marks the
+  /// replicas mirror, so the Brain has exactly one.
   GlobalRoutingConfig routing;
 };
 
@@ -88,6 +88,9 @@ class BrainNode final : public sim::SimNode {
   void handle_path_request(sim::NodeId from, const overlay::PathRequest& req);
   void push_popular_paths();
   void sync_replicas_pib();
+  /// Sends the PIB overload marks and clears the primary just applied
+  /// to every replica, so replica lookups filter the same elements.
+  void mirror_overload(OverloadMarks marks);
 
   sim::Network* net_;
   BrainConfig cfg_;

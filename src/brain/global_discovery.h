@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -14,14 +13,25 @@
 // Routing, and reacts to real-time overload alarms by invalidating the
 // affected PIB entries immediately (without waiting for the 10-minute
 // routing cycle).
-//
-// Discovery also keeps a *dirty set*: links whose abstracted weight
-// moved beyond a relative threshold (and nodes whose load moved beyond
-// an absolute one) since they were last consumed by a routing cycle.
-// Every dirty mark gets a monotonic sequence number, so Global Routing
-// can ask "what changed since sequence S" without Discovery having to
-// know about routing cycles (or be mutated by them).
 namespace livenet::brain {
+
+/// The real-time overload marks and clears one report or alarm implies.
+/// Discovery decides them in one place; the primary Brain applies them
+/// to its PIB and ships the same value to every Path Decision replica,
+/// so all PIBs agree on which nodes and links are hot.
+struct OverloadMarks {
+  sim::NodeId node = sim::kNoNode;
+  bool mark_node = false;
+  bool clear_node = false;
+  std::vector<sim::NodeId> mark_links;   ///< peers of links to mark
+  std::vector<sim::NodeId> clear_links;  ///< peers of links to clear
+
+  bool empty() const {
+    return !mark_node && !clear_node && mark_links.empty() &&
+           clear_links.empty();
+  }
+  void apply(Pib* pib) const;
+};
 
 class GlobalDiscovery {
  public:
@@ -41,6 +51,14 @@ class GlobalDiscovery {
   /// Real-time alarm: marks the node/links overloaded in the PIB.
   void on_alarm(const overlay::OverloadAlarm& alarm, Pib* pib);
 
+  /// What on_report() applies to its PIB: a node below the threshold
+  /// and every link reported below it are cleared.
+  OverloadMarks overload_marks(const overlay::NodeStateReport& report) const;
+
+  /// What on_alarm() applies to its PIB: the node if its load is at or
+  /// above the threshold, and every link the alarm names.
+  OverloadMarks overload_marks(const overlay::OverloadAlarm& alarm) const;
+
   const std::unordered_map<sim::NodeId, NodeView>& nodes() const {
     return nodes_;
   }
@@ -54,36 +72,9 @@ class GlobalDiscovery {
   /// rather than O(n^2).
   const NodeView* find_node(sim::NodeId n) const;
 
-  /// Sequence number of the newest dirty mark (0 = nothing ever moved).
-  std::uint64_t dirty_seq() const { return dirty_seq_; }
-
-  /// Appends every link/node marked dirty *after* `since` (a value
-  /// previously returned by dirty_seq()). Links are (from, to) node-id
-  /// pairs.
-  void dirty_since(std::uint64_t since,
-                   std::vector<std::pair<sim::NodeId, sim::NodeId>>* links,
-                   std::vector<sim::NodeId>* nodes) const;
-
  private:
-  // Thresholds below which a state change is not worth re-routing for.
-  static constexpr double kWeightRel = 0.10;  ///< relative link weight change
-  static constexpr double kLoadAbs = 0.05;    ///< absolute node-load change
-
-  static std::uint64_t link_key(sim::NodeId a, sim::NodeId b) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-           static_cast<std::uint32_t>(b);
-  }
-  void mark_link_dirty(sim::NodeId a, sim::NodeId b) {
-    dirty_links_[link_key(a, b)] = ++dirty_seq_;
-  }
-  void mark_node_dirty(sim::NodeId n) { dirty_nodes_[n] = ++dirty_seq_; }
-
   double threshold_;
   std::unordered_map<sim::NodeId, NodeView> nodes_;
-
-  std::uint64_t dirty_seq_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> dirty_links_;  ///< key->seq
-  std::unordered_map<sim::NodeId, std::uint64_t> dirty_nodes_;
 };
 
 }  // namespace livenet::brain

@@ -3,17 +3,11 @@
 #include <chrono>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace livenet::brain {
 
 namespace {
-
-std::uint64_t link_key(sim::NodeId a, sim::NodeId b) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint32_t>(b);
-}
 
 constexpr double kMissingRtt = -1.0;
 
@@ -165,7 +159,7 @@ GlobalRouting::Result GlobalRouting::recompute(
   const std::size_t n = nodes.size();
   const std::size_t lr_count = last_resort_nodes.size();
 
-  // ---- Phase 1: graph build + cycle planning ------------------------
+  // ---- Phase 1: graph build + constraint tables --------------------
   idx_of_.clear();
   idx_of_.reserve(n);
   for (std::size_t a = 0; a < n; ++a) idx_of_[nodes[a]] = a;
@@ -176,36 +170,6 @@ GlobalRouting::Result GlobalRouting::recompute(
   // The CSR view is built lazily inside a const accessor; materialize
   // it here so no two workers race to build it during the fan-out.
   graph_.csr();
-
-  // Full vs. incremental: a topology change (or the very first cycle)
-  // forces a full solve, as does the periodic refresh cadence.
-  const bool topo_changed = !has_state_ || nodes != prev_nodes_ ||
-                            last_resort_nodes != prev_last_resort_;
-  bool full = !cfg_.incremental || topo_changed;
-  if (!full && cfg_.full_refresh_every > 0 &&
-      cycles_since_full_ + 1 >= cfg_.full_refresh_every) {
-    full = true;
-  }
-  res.full_refresh = full;
-
-  // Snapshot the dirty set *before* solving; marks arriving mid-cycle
-  // stay pending for the next one. A dirty *node* (load moved) changes
-  // the weight of every incident edge, so any path visiting it is
-  // stale; a dirty *link* only re-weights that one edge, so only paths
-  // using it are. Weight improvements that could attract pairs not
-  // currently routed over a dirty element are deferred to the periodic
-  // full refresh — that is the documented approximation.
-  const std::uint64_t dirty_now = view.dirty_seq();
-  std::unordered_set<sim::NodeId> dirty_nodes;
-  std::unordered_set<std::uint64_t> dirty_links;
-  if (!full) {
-    std::vector<std::pair<sim::NodeId, sim::NodeId>> dlinks;
-    std::vector<sim::NodeId> dnodes;
-    view.dirty_since(consumed_dirty_seq_, &dlinks, &dnodes);
-    for (const auto& [u, v] : dlinks) dirty_links.insert(link_key(u, v));
-    for (const sim::NodeId u : dnodes) dirty_nodes.insert(u);
-  }
-  const bool dirty_empty = dirty_nodes.empty() && dirty_links.empty();
 
   // Precomputed constraint tables: one hash lookup per element per
   // cycle instead of per candidate path.
@@ -236,56 +200,9 @@ GlobalRouting::Result GlobalRouting::recompute(
     }
   }
 
-  // Incremental skip test: a source keeps last cycle's routes iff every
-  // installed pair has candidates and none of its paths (candidate or
-  // fallback) touches a dirty element.
-  auto path_touches_dirty = [&](const overlay::Path& p) {
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (!dirty_nodes.empty() && dirty_nodes.count(p[i]) != 0) return true;
-      if (i + 1 < p.size() && !dirty_links.empty() &&
-          dirty_links.count(link_key(p[i], p[i + 1])) != 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto source_needs_solve = [&](std::size_t a) {
-    if (dirty_nodes.count(nodes[a]) != 0) return true;
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const auto* ps = pib->find(nodes[a], nodes[b]);
-      if (ps == nullptr || ps->empty()) return true;  // unfilled pair
-      for (const auto& p : *ps) {
-        if (path_touches_dirty(p)) return true;
-      }
-      const auto* fb = pib->find_last_resort(nodes[a], nodes[b]);
-      if (fb != nullptr && path_touches_dirty(*fb)) return true;
-    }
-    return false;
-  };
-
-  // Double buffer: full cycles rebuild the scratch from nothing (so
-  // stale pairs age out); incremental cycles seed it with the live
-  // routes and overwrite only the re-solved sources.
+  // Double buffer: every cycle rebuilds the scratch from nothing, so
+  // pairs whose endpoints left the node set age out.
   scratch_.clear();
-  if (!full) scratch_.copy_routes_from(*pib);
-
-  // Plan the cycle's source list up front (skip accounting included),
-  // so the solve phase is pure KSP work and partitions trivially.
-  to_solve_.clear();
-  for (std::size_t a = 0; a < n; ++a) {
-    if (!full) {
-      // Empty dirty set short-circuits the per-path scan entirely.
-      const bool solve = !dirty_empty && source_needs_solve(a);
-      if (!solve) {
-        res.pairs += n - 1;
-        res.pairs_skipped += n - 1;
-        ++res.sources_skipped;
-        continue;
-      }
-    }
-    to_solve_.push_back(static_cast<std::uint32_t>(a));
-  }
 
   // Worker pool + per-worker solvers: created once, warm-started every
   // cycle via rebind() (tree caches survive when the graph version did
@@ -319,7 +236,7 @@ GlobalRouting::Result GlobalRouting::recompute(
     // Inline fast path: install into the scratch Pib as each pair
     // resolves — no buffering, exactly the pre-parallel pipeline.
     KspSolver& solver = workers_[0];
-    for (const std::uint32_t a : to_solve_) {
+    for (std::size_t a = 0; a < n; ++a) {
       const SourceCounts counts = solve_source(
           ctx, solver, a, lr_from_, kept_,
           [&](std::size_t b, std::vector<overlay::Path>& kept,
@@ -336,20 +253,20 @@ GlobalRouting::Result GlobalRouting::recompute(
       res.last_resort_pairs += counts.last_resort_pairs;
     }
   } else {
-    // Fan-out: worker w takes sources to_solve_[w], [w + T], ... Every
-    // source is an independent subproblem over the shared read-only
-    // cycle state; outputs are buffered per source and merged below.
-    outputs.resize(to_solve_.size());
+    // Fan-out: worker w takes sources w, w + T, ... Every source is an
+    // independent subproblem over the shared read-only cycle state;
+    // outputs are buffered per source and merged below.
+    outputs.resize(n);
     const std::size_t num_workers = pool_->size();
     pool_->run([&](std::size_t w) {
       std::vector<double> lr_from;
       std::vector<overlay::Path> kept;
-      for (std::size_t i = w; i < to_solve_.size(); i += num_workers) {
-        SourceOutput& o = outputs[i];
+      for (std::size_t a = w; a < n; a += num_workers) {
+        SourceOutput& o = outputs[a];
         o.kept_by_dst.resize(n);
         o.fallback.assign(n, static_cast<std::uint32_t>(lr_count));
         o.counts = solve_source(
-            ctx, workers_[w], to_solve_[i], lr_from, kept,
+            ctx, workers_[w], a, lr_from, kept,
             [&o](std::size_t b, std::vector<overlay::Path>& kept_b,
                  std::size_t best_l) {
               o.kept_by_dst[b] = std::move(kept_b);
@@ -358,12 +275,10 @@ GlobalRouting::Result GlobalRouting::recompute(
       }
     });
   }
-  // Per-pair counters for the solved sources: plain sums, so the
-  // totals are independent of worker partitioning.
-  res.sources_solved = to_solve_.size();
+  res.sources_solved = n;
   if (n > 0) {
-    res.pairs += to_solve_.size() * (n - 1);
-    res.pairs_solved += to_solve_.size() * (n - 1);
+    res.pairs = n * (n - 1);
+    res.pairs_solved = res.pairs;
   }
 
   const auto t2 = Clock::now();
@@ -373,9 +288,8 @@ GlobalRouting::Result GlobalRouting::recompute(
     // Ordered merge: replays the exact set_paths/set_last_resort call
     // sequence of the inline path (ascending source index, ascending
     // destination), hence byte-identical Pib contents for any T.
-    for (std::size_t i = 0; i < to_solve_.size(); ++i) {
-      const std::size_t a = to_solve_[i];
-      SourceOutput& o = outputs[i];
+    for (std::size_t a = 0; a < n; ++a) {
+      SourceOutput& o = outputs[a];
       for (std::size_t b = 0; b < n; ++b) {
         if (a == b) continue;
         scratch_.set_paths(nodes[a], nodes[b], std::move(o.kept_by_dst[b]));
@@ -394,96 +308,10 @@ GlobalRouting::Result GlobalRouting::recompute(
   pib->swap_routes(&scratch_);
   scratch_.clear();
 
-  consumed_dirty_seq_ = dirty_now;
-  cycles_since_full_ = full ? 0 : cycles_since_full_ + 1;
-  prev_nodes_ = nodes;
-  prev_last_resort_ = last_resort_nodes;
-  has_state_ = true;
-
   const auto t3 = Clock::now();
   res.graph_build_ms = ms_between(t0, t1);
   res.solve_ms = ms_between(t1, t2);
   res.install_ms = ms_between(t2, t3);
-  return res;
-}
-
-GlobalRouting::Result GlobalRouting::recompute_reference(
-    const GlobalDiscovery& view, const std::vector<sim::NodeId>& nodes,
-    const std::vector<sim::NodeId>& last_resort_nodes, Pib* pib) const {
-  Result res;
-  const RoutingGraph g = build_graph(view, nodes);
-
-  auto overloaded_node = [&](sim::NodeId n) {
-    return view.node_load(n) >= cfg_.overload_threshold;
-  };
-  auto overloaded_link = [&](sim::NodeId a, sim::NodeId b) {
-    const LinkState* ls = view.link(a, b);
-    return ls != nullptr && ls->utilization >= cfg_.overload_threshold;
-  };
-
-  for (std::size_t a = 0; a < nodes.size(); ++a) {
-    // k = 1 needs no spur paths, so one shortest-path tree per source
-    // replaces n per-pair Dijkstras (the tree reads off the identical
-    // path).
-    std::optional<ShortestPathTree> tree;
-    if (cfg_.k == 1) tree = shortest_path_tree_reference(g, a);
-    for (std::size_t b = 0; b < nodes.size(); ++b) {
-      if (a == b) continue;
-      ++res.pairs;
-      ++res.pairs_solved;
-      std::vector<WeightedPath> ksp;
-      if (tree.has_value()) {
-        if (auto p = tree->path_to(a, b)) ksp.push_back(std::move(*p));
-      } else {
-        ksp = k_shortest_paths_reference(g, a, b, cfg_.k);
-      }
-
-      std::vector<overlay::Path> kept;
-      for (const auto& wp : ksp) {
-        // Constraint (iii): bounded path length.
-        if (static_cast<int>(wp.nodes.size()) - 1 > cfg_.max_hops) continue;
-        // Constraints (i)/(ii): skip paths crossing overloaded elements
-        // (relay nodes and links; the endpoints are fixed by the pair).
-        bool bad = false;
-        for (std::size_t i = 0; i < wp.nodes.size() && !bad; ++i) {
-          const sim::NodeId n = nodes[wp.nodes[i]];
-          const bool endpoint = (i == 0 || i + 1 == wp.nodes.size());
-          if (!endpoint && overloaded_node(n)) bad = true;
-          if (i + 1 < wp.nodes.size() &&
-              overloaded_link(n, nodes[wp.nodes[i + 1]])) {
-            bad = true;
-          }
-        }
-        if (bad) continue;
-        overlay::Path p;
-        p.reserve(wp.nodes.size());
-        for (const std::size_t idx : wp.nodes) p.push_back(nodes[idx]);
-        kept.push_back(std::move(p));
-      }
-      res.paths_installed += kept.size();
-
-      // Last-resort fallback: src -> reserved relay -> dst, choosing the
-      // relay with the lowest total reported RTT.
-      overlay::Path fallback;
-      double best = std::numeric_limits<double>::infinity();
-      for (const sim::NodeId lr : last_resort_nodes) {
-        const LinkState* l1 = view.link(nodes[a], lr);
-        const LinkState* l2 = view.link(lr, nodes[b]);
-        if (l1 == nullptr || l2 == nullptr) continue;
-        const double cost =
-            static_cast<double>(l1->rtt) + static_cast<double>(l2->rtt);
-        if (cost < best) {
-          best = cost;
-          fallback = overlay::Path{nodes[a], lr, nodes[b]};
-        }
-      }
-      if (kept.empty() && !fallback.empty()) ++res.last_resort_pairs;
-      pib->set_paths(nodes[a], nodes[b], std::move(kept));
-      if (!fallback.empty()) {
-        pib->set_last_resort(nodes[a], nodes[b], std::move(fallback));
-      }
-    }
-  }
   return res;
 }
 

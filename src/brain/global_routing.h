@@ -21,11 +21,8 @@
 // The solve pipeline is batched per source (one KspSolver amortizes
 // shortest-path trees across every destination) and installs through a
 // double-buffered scratch Pib that is swapped in atomically at the end
-// of the cycle. With `incremental` enabled, cycles between periodic
-// full refreshes re-solve only the sources whose installed paths touch
-// the Discovery dirty set (see GlobalDiscovery::dirty_since); skipped
-// sources keep their previous cycle's routes. Incremental results are
-// an approximation by design — the full refresh bounds the staleness.
+// of the cycle, so stale pairs age out and readers never observe a
+// half-installed cycle.
 //
 // Parallel Brain (DESIGN.md): with `threads > 1` the per-source solves
 // fan out over a persistent worker pool. Every source is an independent
@@ -43,10 +40,6 @@ struct GlobalRoutingConfig {
   std::size_t k = 3;           ///< candidate paths per pair
   int max_hops = 3;            ///< constraint (iii)
   double overload_threshold = 0.8;  ///< constraints (i)/(ii) proxy
-  bool incremental = false;    ///< dirty-set source skipping
-  /// Every Nth incremental cycle becomes a full refresh (0 disables
-  /// the cadence and trusts the dirty set alone).
-  std::size_t full_refresh_every = 6;
   /// Worker threads for the per-source KSP fan-out. 1 (the default)
   /// solves inline on the caller with no pool and no buffering —
   /// exactly the pre-parallel behavior. Output is byte-identical for
@@ -60,14 +53,11 @@ class GlobalRouting {
     std::size_t pairs = 0;            ///< all (src, dst) pairs this cycle
     std::size_t paths_installed = 0;  ///< kept candidate paths (solved pairs)
     std::size_t last_resort_pairs = 0;
-    std::size_t pairs_solved = 0;   ///< pairs actually re-solved
-    std::size_t pairs_skipped = 0;  ///< pairs kept from the previous cycle
+    std::size_t pairs_solved = 0;
     std::size_t sources_solved = 0;
-    std::size_t sources_skipped = 0;
-    bool full_refresh = true;  ///< false when the dirty set pruned sources
     // Wall-clock phase split (telemetry; zero for recompute_reference).
-    // graph_build covers view -> weight graph plus cycle planning
-    // (dirty scan, constraint tables); solve is the per-source KSP work
+    // graph_build covers view -> weight graph plus the per-cycle
+    // constraint tables; solve is the per-source KSP work
     // — fan-out wall time when threads > 1, the inline solve/install
     // loop when threads == 1; install is the ordered merge (threads >
     // 1) plus the double-buffer swap.
@@ -82,20 +72,11 @@ class GlobalRouting {
   /// `nodes`: the regular overlay nodes; `last_resort_nodes`: the
   /// reserved relays (excluded from regular routing). Installs paths
   /// into `pib`. Non-const: the module carries the double-buffer
-  /// scratch, the warm-start graph/solver state and the incremental
-  /// bookkeeping across cycles.
+  /// scratch and the warm-start graph/solver state across cycles.
   Result recompute(const GlobalDiscovery& view,
                    const std::vector<sim::NodeId>& nodes,
                    const std::vector<sim::NodeId>& last_resort_nodes,
                    Pib* pib);
-
-  /// The original per-pair implementation, preserved verbatim as the
-  /// oracle for the differential ctests: recompute() on a fresh Pib
-  /// must install byte-identical contents.
-  Result recompute_reference(const GlobalDiscovery& view,
-                             const std::vector<sim::NodeId>& nodes,
-                             const std::vector<sim::NodeId>& last_resort_nodes,
-                             Pib* pib) const;
 
   /// Builds the abstracted weight graph over `nodes` (exposed for tests
   /// and the routing microbenchmark).
@@ -116,13 +97,7 @@ class GlobalRouting {
 
   GlobalRoutingConfig cfg_;
 
-  // Double-buffer + incremental state (see recompute()).
-  Pib scratch_;
-  std::uint64_t consumed_dirty_seq_ = 0;
-  std::size_t cycles_since_full_ = 0;
-  bool has_state_ = false;
-  std::vector<sim::NodeId> prev_nodes_;
-  std::vector<sim::NodeId> prev_last_resort_;
+  Pib scratch_;  ///< double buffer (see recompute())
 
   // Warm-start state: the weight graph persists and is rebuilt in
   // place (version moves only when a cell changed), so the per-worker
@@ -137,7 +112,6 @@ class GlobalRouting {
   std::vector<double> lr_to_;
   std::vector<double> lr_from_;
   std::vector<overlay::Path> kept_;
-  std::vector<std::uint32_t> to_solve_;
 
   // Parallel fan-out: one solver per worker (index-aligned with the
   // pool's worker ids), created on first use, rebound every cycle.

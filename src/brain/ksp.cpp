@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
-#include <set>
 
 namespace livenet::brain {
 
@@ -669,158 +667,6 @@ std::size_t KspSolver::k_shortest_scratch(std::size_t dst, std::size_t k) {
     heap_.pop_back();
   }
   return accepted_.size();
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the original per-pair heap pipeline,
-// preserved verbatim as the oracle for the differential ctests.
-
-std::optional<WeightedPath> shortest_path_reference(
-    const RoutingGraph& g, std::size_t src, std::size_t dst,
-    const std::vector<bool>* banned_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>>* banned_edges) {
-  const std::size_t n = g.size();
-  if (src >= n || dst >= n) return std::nullopt;
-  if (banned_nodes != nullptr &&
-      ((*banned_nodes)[src] || (*banned_nodes)[dst])) {
-    return std::nullopt;
-  }
-  if (src == dst) return WeightedPath{{src}, 0.0};
-
-  auto is_banned_edge = [banned_edges](std::size_t a, std::size_t b) {
-    if (banned_edges == nullptr) return false;
-    return std::find(banned_edges->begin(), banned_edges->end(),
-                     std::make_pair(a, b)) != banned_edges->end();
-  };
-
-  std::vector<double> dist(n, kInf);
-  std::vector<std::size_t> prev(n, n);
-  using QItem = std::pair<double, std::size_t>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  dist[src] = 0.0;
-  pq.emplace(0.0, src);
-
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == dst) break;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!g.has_edge(u, v)) continue;
-      if (banned_nodes != nullptr && (*banned_nodes)[v]) continue;
-      if (is_banned_edge(u, v)) continue;
-      const double nd = d + g.weight(u, v);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        prev[v] = u;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  if (dist[dst] == kInf) return std::nullopt;
-
-  WeightedPath out;
-  out.cost = dist[dst];
-  for (std::size_t cur = dst; cur != n; cur = prev[cur]) {
-    out.nodes.push_back(cur);
-    if (cur == src) break;
-  }
-  std::reverse(out.nodes.begin(), out.nodes.end());
-  return out;
-}
-
-ShortestPathTree shortest_path_tree_reference(const RoutingGraph& g,
-                                              std::size_t src) {
-  const std::size_t n = g.size();
-  ShortestPathTree t;
-  t.dist.assign(n, kInf);
-  t.prev.assign(n, n);
-  if (src >= n) return t;
-  using QItem = std::pair<double, std::size_t>;
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  t.dist[src] = 0.0;
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > t.dist[u]) continue;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!g.has_edge(u, v)) continue;
-      const double nd = d + g.weight(u, v);
-      if (nd < t.dist[v]) {
-        t.dist[v] = nd;
-        t.prev[v] = u;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  return t;
-}
-
-std::vector<WeightedPath> k_shortest_paths_reference(const RoutingGraph& g,
-                                                     std::size_t src,
-                                                     std::size_t dst,
-                                                     std::size_t k) {
-  std::vector<WeightedPath> result;
-  if (k == 0) return result;
-  auto first = shortest_path_reference(g, src, dst);
-  if (!first.has_value()) return result;
-  result.push_back(std::move(*first));
-
-  // Candidate pool ordered by cost; dedup by node sequence.
-  auto cmp = [](const WeightedPath& a, const WeightedPath& b) {
-    return a.cost > b.cost;
-  };
-  std::priority_queue<WeightedPath, std::vector<WeightedPath>, decltype(cmp)>
-      candidates(cmp);
-  std::set<std::vector<std::size_t>> seen;
-  seen.insert(result[0].nodes);
-
-  std::vector<bool> banned_nodes(g.size(), false);
-
-  while (result.size() < k) {
-    const auto& last = result.back().nodes;
-    // Spur from every node of the previous path except its tail.
-    for (std::size_t i = 0; i + 1 < last.size(); ++i) {
-      const std::size_t spur = last[i];
-      std::vector<std::size_t> root(last.begin(),
-                                    last.begin() +
-                                        static_cast<std::ptrdiff_t>(i) + 1);
-
-      // Ban edges used by earlier accepted paths sharing this root.
-      std::vector<std::pair<std::size_t, std::size_t>> banned_edges;
-      for (const auto& p : result) {
-        if (p.nodes.size() > i + 1 &&
-            std::equal(root.begin(), root.end(), p.nodes.begin())) {
-          banned_edges.emplace_back(p.nodes[i], p.nodes[i + 1]);
-        }
-      }
-      // Ban root nodes (except the spur) to keep paths loopless.
-      std::fill(banned_nodes.begin(), banned_nodes.end(), false);
-      for (std::size_t j = 0; j < i; ++j) banned_nodes[root[j]] = true;
-
-      const auto spur_path =
-          shortest_path_reference(g, spur, dst, &banned_nodes, &banned_edges);
-      if (!spur_path.has_value()) continue;
-
-      WeightedPath total;
-      total.nodes = root;
-      total.nodes.insert(total.nodes.end(), spur_path->nodes.begin() + 1,
-                         spur_path->nodes.end());
-      double root_cost = 0.0;
-      for (std::size_t j = 0; j < i; ++j) {
-        root_cost += g.weight(last[j], last[j + 1]);
-      }
-      total.cost = root_cost + spur_path->cost;
-      if (seen.insert(total.nodes).second) {
-        candidates.push(std::move(total));
-      }
-    }
-    if (candidates.empty()) break;
-    result.push_back(candidates.top());
-    candidates.pop();
-  }
-  return result;
 }
 
 }  // namespace livenet::brain

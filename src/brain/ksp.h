@@ -13,15 +13,16 @@
 // the K Shortest Paths (KSP) algorithm"). Yen's algorithm over a
 // Dijkstra core, yielding loopless paths in non-decreasing cost order.
 //
-// Two implementations live here:
+// Two implementations exist:
 //
 //  * The production pipeline: an allocation-free array Dijkstra over
 //    the graph's CSR view (DijkstraWorkspace) plus a per-source batched
 //    Yen (KspSolver) that shares one forward shortest-path tree across
 //    every destination and caches per-node trees for spur fast paths.
 //  * The original per-pair heap implementation, preserved verbatim as
-//    `*_reference` — the oracle for the differential tests. The
-//    optimized pipeline is required to be *bit-identical* to it,
+//    `*_reference` in the test tree (tests/routing_oracle.h) — the
+//    oracle for the differential tests. The production pipeline is
+//    required to be *bit-identical* to it,
 //    including equal-cost tie-breaking, which pins down the shared
 //    discipline: nodes settle in ascending (dist, index) order,
 //    neighbors relax in ascending index order, and only strict
@@ -225,23 +226,5 @@ class KspSolver {
   std::vector<std::uint32_t> banned_roots_;
   std::vector<Cand> mask_saved_;  ///< (old value, index) undo log
 };
-
-// ---------------------------------------------------------------------------
-// Reference implementation (the original per-pair heap pipeline),
-// preserved as the oracle for the permanent differential ctests.
-
-std::optional<WeightedPath> shortest_path_reference(
-    const RoutingGraph& g, std::size_t src, std::size_t dst,
-    const std::vector<bool>* banned_nodes = nullptr,
-    const std::vector<std::pair<std::size_t, std::size_t>>* banned_edges =
-        nullptr);
-
-ShortestPathTree shortest_path_tree_reference(const RoutingGraph& g,
-                                              std::size_t src);
-
-std::vector<WeightedPath> k_shortest_paths_reference(const RoutingGraph& g,
-                                                     std::size_t src,
-                                                     std::size_t dst,
-                                                     std::size_t k);
 
 }  // namespace livenet::brain

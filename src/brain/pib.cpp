@@ -81,10 +81,4 @@ void Pib::swap_routes(Pib* other) {
   other->bump();
 }
 
-void Pib::copy_routes_from(const Pib& other) {
-  paths_ = other.paths_;
-  fallbacks_ = other.fallbacks_;
-  bump();
-}
-
 }  // namespace livenet::brain

@@ -43,8 +43,8 @@ class Pib {
   /// Last-resort path for the pair (empty if none installed).
   overlay::Path last_resort(sim::NodeId src, sim::NodeId dst) const;
 
-  /// Pointer form of last_resort() (nullptr if none installed); used by
-  /// the incremental recompute's dirty-path scan to avoid copies.
+  /// Pointer form of last_resort() (nullptr if none installed), for
+  /// callers that only inspect the fallback and need no copy.
   const overlay::Path* find_last_resort(sim::NodeId src,
                                         sim::NodeId dst) const;
 
@@ -55,10 +55,6 @@ class Pib {
   /// never observe a half-installed cycle and the live hot-node/link
   /// marks survive the swap.
   void swap_routes(Pib* other);
-
-  /// Replaces this Pib's routes with a copy of `other`'s (overload
-  /// marks untouched). Seeds the scratch buffer for incremental cycles.
-  void copy_routes_from(const Pib& other);
 
   // Real-time overload marks (Global Discovery). Each effective change
   // bumps the version stamp (no-op marks do not churn lookup caches).

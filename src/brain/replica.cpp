@@ -22,7 +22,8 @@ std::string ReplicaSibUpdate::describe() const {
 
 std::string ReplicaOverloadUpdate::describe() const {
   std::ostringstream ss;
-  ss << "OVLUPD n" << node << (overloaded ? " hot" : " cool");
+  ss << "OVLUPD n" << marks.node << " +" << marks.mark_links.size() << " -"
+     << marks.clear_links.size();
   return ss.str();
 }
 
@@ -57,17 +58,7 @@ void PathDecisionReplica::on_message(sim::NodeId from,
   }
   if (const auto ovl =
           sim::msg_cast<const ReplicaOverloadUpdate>(msg)) {
-    if (ovl->overloaded) {
-      pib_.mark_node_overloaded(ovl->node);
-      for (const auto peer : ovl->hot_links) {
-        pib_.mark_link_overloaded(ovl->node, peer);
-      }
-    } else {
-      pib_.clear_node_overloaded(ovl->node);
-      for (const auto peer : ovl->hot_links) {
-        pib_.clear_link_overloaded(ovl->node, peer);
-      }
-    }
+    ovl->marks.apply(&pib_);
     return;
   }
   LIVENET_LOG(kWarn) << "replica: unhandled " << msg->describe();

@@ -57,15 +57,14 @@ class ReplicaSibUpdate final : public sim::Message {
   std::string describe() const override;
 };
 
-/// Primary -> replica: real-time overload mark or clear.
+/// Primary -> replica: the real-time overload marks and clears the
+/// primary applied to its own PIB.
 class ReplicaOverloadUpdate final : public sim::Message {
  public:
-  sim::NodeId node = sim::kNoNode;
-  bool overloaded = false;
-  std::vector<sim::NodeId> hot_links;  ///< peers of marked links
+  OverloadMarks marks;
 
   std::size_t wire_size() const override {
-    return 16 + 4 * hot_links.size();
+    return 16 + 4 * (marks.mark_links.size() + marks.clear_links.size());
   }
   std::string describe() const override;
 };

@@ -14,6 +14,7 @@ using workload::GeoSite;
 namespace {
 
 constexpr double kLadderStep = 0.5;  ///< each version = step x previous
+constexpr double kIFrameWeight = 5.0;  ///< I size relative to P
 constexpr double kDiurnalTrough = 0.25;
 constexpr double kViewTimeSigma = 0.6;  ///< lognormal sigma
 constexpr double kIntlFraction = 0.12;  ///< viewer in another country
@@ -45,8 +46,7 @@ void ScenarioRunner::start_broadcasters() {
       vc.fps = cfg_.fps;
       vc.gop_frames = cfg_.gop_frames;
       vc.bitrate_bps = rate;
-      vc.b_per_p = cfg_.b_per_p;
-      vc.i_frame_weight = cfg_.i_frame_weight;
+      vc.i_frame_weight = kIFrameWeight;
       if (v == 0) {
         // Only the top version carries the SVC lattice; the lower
         // simulcast rungs stay plain (they are the fallback ladder).

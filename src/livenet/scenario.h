@@ -30,8 +30,6 @@ struct ScenarioConfig {
   double top_bitrate_bps = 1.5e6;
   double fps = 25.0;
   std::size_t gop_frames = 50;       ///< 2 s GoPs
-  std::size_t b_per_p = 0;
-  double i_frame_weight = 5.0;
 
   // SVC layered encoding (DESIGN.md "SVC layered forwarding"). 1x1 =
   // off: plain simulcast, bit-identical to the pre-SVC world. When on,

@@ -710,12 +710,12 @@ void ControlAgent::check_overload() {
   for (const NodeId peer : env_->peers) {
     if (peer == env_->self()) continue;
     const sim::Link* l = env_->net->link(env_->self(), peer);
-    if (l != nullptr && l->utilization() >= cfg_->overload_threshold) {
+    if (l != nullptr && l->utilization() >= kOverloadThreshold) {
       hot_links.push_back(peer);
     }
   }
   const bool overloaded =
-      load >= cfg_->overload_threshold || !hot_links.empty();
+      load >= kOverloadThreshold || !hot_links.empty();
   if (overloaded && !overload_alarm_active_) {
     overload_alarm_active_ = true;
     auto alarm = sim::make_message<OverloadAlarm>();
@@ -723,7 +723,7 @@ void ControlAgent::check_overload() {
     alarm->node_load = load;
     alarm->overloaded_links = std::move(hot_links);
     env_->net->send(env_->self(), env_->brain, std::move(alarm));
-  } else if (!overloaded && load < 0.9 * cfg_->overload_threshold) {
+  } else if (!overloaded && load < 0.9 * kOverloadThreshold) {
     overload_alarm_active_ = false;  // hysteresis re-arm
   }
 }

@@ -92,6 +92,7 @@ class ControlAgent {
 
  private:
   static constexpr double kNodeCapacityBps = 2e9;  ///< egress for load calc
+  static constexpr double kOverloadThreshold = 0.8;  ///< the paper's 80% target
   static constexpr Duration kPathCacheTtl = 10 * kMin;  ///< path validity
   static constexpr Duration kSwitchCooldown = 5 * kSec;  ///< min re-route gap
   /// Lookup retry (lost request).

@@ -47,7 +47,6 @@ struct OverlayNodeConfig {
   /// ablation benchmark.
   bool fast_path_enabled = true;
   std::size_t max_streams = 1000;      ///< stream-count load normalizer
-  double overload_threshold = 0.8;     ///< the paper's 80% target
   Duration report_interval = 60 * kSec;    ///< Global Discovery reports
   Duration overload_check_interval = 5 * kSec;
   Duration unsubscribe_linger = 5 * kSec;  ///< idle time before unsub

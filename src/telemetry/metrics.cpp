@@ -124,8 +124,6 @@ const Handles& handles() {
     out.jitter_frames_released = reg.counter("client.jitter_frames_released");
     out.path_requests_served = reg.counter("brain.path_requests_served");
     out.brain_pairs_solved = reg.counter("brain.recompute_pairs_solved");
-    out.brain_pairs_skipped =
-        reg.counter("brain.recompute_pairs_skipped_dirty");
     out.brain_last_resort_pairs =
         reg.counter("brain.recompute_last_resort_pairs");
     out.brain_recompute_ms =

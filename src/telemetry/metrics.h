@@ -163,8 +163,7 @@ struct Handles {
   Counter* jitter_frames_released;  ///< frames completed by jitter buffers
   // Control plane.
   Counter* path_requests_served;    ///< Brain/replica path lookups answered
-  Counter* brain_pairs_solved;      ///< pairs re-solved by Global Routing
-  Counter* brain_pairs_skipped;     ///< pairs skipped via the dirty set
+  Counter* brain_pairs_solved;      ///< pairs solved by Global Routing
   Counter* brain_last_resort_pairs; ///< pairs left on a last-resort path
   LatencyStat* brain_recompute_ms;  ///< wall time of a routing cycle
   /// Routing-cycle phase split (Parallel Brain): view->graph build,

@@ -294,7 +294,7 @@ TEST(PathDecision, CachedLookupTracksPibChurn) {
   scratch.set_paths(2, 3, {{2, 6, 3}});
   pib.swap_routes(&scratch);
   expect_cached_matches_oracle(pd, 7, 3);
-  pib.copy_routes_from(scratch);
+  pib.swap_routes(&scratch);  // and back
   expect_cached_matches_oracle(pd, 7, 3);
   pib.clear();
   expect_cached_matches_oracle(pd, 7, 3);

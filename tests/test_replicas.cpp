@@ -102,24 +102,79 @@ TEST(Replicas, LookupsServedByReplicaNotPrimary) {
   EXPECT_NE(sess.path_response_rtt, kNever);
 }
 
+// The replica mirrors the primary's marks rather than re-deriving them:
+// after every report or alarm, both PIBs answer the overload filter the
+// same way — including an alarm raised for a hot link while the node
+// itself is below the bar, and a report that clears cool links while
+// the node stays above it.
 TEST(Replicas, OverloadMarksMirrorToReplicas) {
   SystemConfig cfg = replica_config(1);
-  cfg.overlay_node.report_interval = 1 * kHour;  // no auto-clearing
+  cfg.overlay_node.report_interval = 1 * kHour;  // only scripted reports
   LiveNetSystem sys(cfg);
   sys.build_once();
   sys.start();
   sys.loop().run_until(2 * kSec);
-
-  const auto victim = sys.overlay_node_ids()[3];
-  auto alarm = sim::make_message<overlay::OverloadAlarm>();
-  alarm->node = victim;
-  alarm->node_load = 0.95;
-  sys.network().send(victim, sys.brain().node_id(), alarm);
-  sys.loop().run_until(3 * kSec);
-
-  EXPECT_TRUE(sys.brain().pib().node_overloaded(victim));
   ASSERT_EQ(sys.replicas().size(), 1u);
-  EXPECT_TRUE(sys.replicas()[0]->pib().node_overloaded(victim));
+
+  const auto& ids = sys.overlay_node_ids();
+  const sim::NodeId src = ids[0], victim = ids[3], peer = ids[4];
+  const brain::Pib& primary = sys.brain().pib();
+  const brain::Pib& replica = sys.replicas()[0]->pib();
+  Time now = 2 * kSec;
+  auto deliver = [&](const sim::MessagePtr& msg) {
+    sys.network().send(victim, sys.brain().node_id(), msg);
+    now += 1 * kSec;
+    sys.loop().run_until(now);
+  };
+  auto expect_agree = [&](bool victim_hot, bool link_hot) {
+    EXPECT_EQ(primary.node_overloaded(victim), victim_hot);
+    EXPECT_EQ(primary.is_invalid({victim, peer}), link_hot);
+    EXPECT_EQ(replica.node_overloaded(victim),
+              primary.node_overloaded(victim));
+    EXPECT_EQ(replica.is_invalid({src, victim, peer}),
+              primary.is_invalid({src, victim, peer}));
+    EXPECT_EQ(replica.is_invalid({victim, peer}),
+              primary.is_invalid({victim, peer}));
+  };
+  auto alarm = [&](double load, std::vector<sim::NodeId> links) {
+    auto a = sim::make_message<overlay::OverloadAlarm>();
+    a->node = victim;
+    a->node_load = load;
+    a->overloaded_links = std::move(links);
+    deliver(a);
+  };
+  auto report = [&](double load, double peer_util) {
+    auto r = sim::make_message<overlay::NodeStateReport>();
+    r->node = victim;
+    r->node_load = load;
+    overlay::LinkReport lr;
+    lr.to = peer;
+    lr.rtt = 20 * kMs;
+    lr.utilization = peer_util;
+    r->links.push_back(lr);
+    deliver(r);
+  };
+
+  {
+    SCOPED_TRACE("hot node and hot link");
+    alarm(0.95, {peer});
+    expect_agree(true, true);
+  }
+  {
+    SCOPED_TRACE("report above the node bar clears the cool link");
+    report(0.9, 0.1);
+    expect_agree(true, false);
+  }
+  {
+    SCOPED_TRACE("healthy report clears the node");
+    report(0.1, 0.1);
+    expect_agree(false, false);
+  }
+  {
+    SCOPED_TRACE("alarm for a hot link below the node bar");
+    alarm(0.5, {peer});
+    expect_agree(false, true);
+  }
 }
 
 }  // namespace

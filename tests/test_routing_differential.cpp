@@ -1,8 +1,7 @@
 // Differential tests for the optimized Brain routing pipeline: the
 // CSR/workspace/batched-KSP implementation must be *bit-identical* to
 // the preserved reference implementation — same paths, same order, same
-// double costs — and the incremental recompute must skip exactly the
-// sources the dirty set allows.
+// double costs — on a fresh module and on long-lived, warm-started ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +13,7 @@
 #include "brain/global_routing.h"
 #include "brain/ksp.h"
 #include "brain/pib.h"
+#include "routing_oracle.h"
 #include "util/rng.h"
 
 namespace livenet::brain {
@@ -85,6 +85,18 @@ void expect_pib_routes_equal(const Pib& got, const Pib& want) {
     EXPECT_EQ(got.last_resort(src, dst), want.last_resort(src, dst))
         << "fallback " << src << "->" << dst;
   }
+}
+
+bool pib_routes_differ(const Pib& a, const Pib& b) {
+  if (a.pair_count() != b.pair_count()) return true;
+  for (const auto& [src, dst] : a.pairs()) {
+    const auto* pb = b.find(src, dst);
+    if (pb == nullptr || *pb != *a.find(src, dst) ||
+        a.last_resort(src, dst) != b.last_resort(src, dst)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -252,10 +264,9 @@ TEST(PibDifferential, RecomputeInstallsIdenticalPibToReference) {
     GlobalRoutingConfig cfg;
     cfg.k = c.k;
     GlobalRouting optimized(cfg);
-    GlobalRouting reference(cfg);
     Pib got, want;
     const auto res = optimized.recompute(view, nodes, relays, &got);
-    const auto ref = reference.recompute_reference(view, nodes, relays, &want);
+    const auto ref = recompute_reference(cfg, view, nodes, relays, &want);
     EXPECT_EQ(res.pairs, ref.pairs);
     EXPECT_EQ(res.paths_installed, ref.paths_installed);
     EXPECT_EQ(res.last_resort_pairs, ref.last_resort_pairs);
@@ -263,178 +274,19 @@ TEST(PibDifferential, RecomputeInstallsIdenticalPibToReference) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Incremental recompute.
-
-/// Hand-built symmetric view: every pair linked at `rtt_ms` except the
-/// overrides; loads/utilizations low so no constraint interferes.
-void report_node(GlobalDiscovery* view, int node, int total, double load,
-                 const std::vector<std::pair<int, double>>& rtt_ms_overrides,
-                 double default_rtt_ms) {
-  overlay::NodeStateReport rep;
-  rep.node = node;
-  rep.node_load = load;
-  for (int b = 0; b < total; ++b) {
-    if (b == node) continue;
-    double ms = default_rtt_ms;
-    for (const auto& [to, v] : rtt_ms_overrides) {
-      if (to == b) ms = v;
-    }
-    overlay::LinkReport lr;
-    lr.to = b;
-    lr.rtt = static_cast<Duration>(ms * static_cast<double>(kMs));
-    lr.loss_rate = 0.0;
-    lr.utilization = 0.1;
-    rep.links.push_back(lr);
-  }
-  view->on_report(rep, 0, nullptr);
-}
-
-TEST(Incremental, UnchangedViewSkipsEverySource) {
-  ViewSpec spec;
-  spec.n = 10;
-  spec.seed = 31;
-  const GlobalDiscovery view = make_view(spec);
-  const auto nodes = id_range(0, spec.n);
-  GlobalRoutingConfig cfg;
-  cfg.incremental = true;
-  GlobalRouting routing(cfg);
-  Pib pib;
-  const auto res1 = routing.recompute(view, nodes, {}, &pib);
-  EXPECT_TRUE(res1.full_refresh);
-  const auto res2 = routing.recompute(view, nodes, {}, &pib);
-  EXPECT_FALSE(res2.full_refresh);
-  EXPECT_EQ(res2.sources_solved, 0u);
-  EXPECT_EQ(res2.pairs_skipped,
-            static_cast<std::size_t>(spec.n) * (spec.n - 1));
-  // Skipping everything must leave the PIB identical to a full solve.
-  GlobalRouting oracle;
-  Pib want;
-  oracle.recompute_reference(view, nodes, {}, &want);
-  expect_pib_routes_equal(pib, want);
-}
-
-TEST(Incremental, DirtyLinkResolvesOnlySourcesUsingIt) {
-  const int n = 4;
-  GlobalDiscovery view;
-  // All links 100ms, except a 10ms shortcut 0->1.
-  for (int a = 0; a < n; ++a) {
-    report_node(&view, a, n, 0.1, a == 0 ? std::vector<std::pair<int, double>>{{1, 10.0}}
-                                         : std::vector<std::pair<int, double>>{},
-                100.0);
-  }
-  GlobalRoutingConfig cfg;
-  cfg.incremental = true;
-  GlobalRouting routing(cfg);
-  Pib pib;
-  routing.recompute(view, id_range(0, n), {}, &pib);
-  // The shortcut collapses to 300ms: only link (0,1) goes dirty.
-  // Sources 0, 2, 3 all have installed paths using that edge ([0,1]
-  // and the k=3 alternates [2,0,1] / [3,0,1]); source 1 cannot — a
-  // loopless path from 1 never traverses an edge *into* 1 — so it is
-  // the one source the dirty set skips.
-  report_node(&view, 0, n, 0.1, {{1, 300.0}}, 100.0);
-  const auto res = routing.recompute(view, id_range(0, n), {}, &pib);
-  EXPECT_FALSE(res.full_refresh);
-  EXPECT_EQ(res.sources_solved, 3u);
-  EXPECT_EQ(res.sources_skipped, 1u);
-  // Since the skipped source's candidates cannot touch the re-weighted
-  // edge, the incremental PIB matches a from-scratch reference solve.
-  GlobalRouting oracle;
-  Pib want;
-  oracle.recompute_reference(view, id_range(0, n), {}, &want);
-  expect_pib_routes_equal(pib, want);
-}
-
-TEST(Incremental, DirtyNodeResolvesEverySourceVisitingIt) {
-  const int n = 4;
-  GlobalDiscovery view;
-  for (int a = 0; a < n; ++a) report_node(&view, a, n, 0.1, {}, 100.0);
-  GlobalRoutingConfig cfg;
-  cfg.incremental = true;
-  GlobalRouting routing(cfg);
-  Pib pib;
-  routing.recompute(view, id_range(0, n), {}, &pib);
-  // Node 2's load jumps: every source has a pair targeting node 2, so
-  // every source is stale.
-  report_node(&view, 2, n, 0.6, {}, 100.0);
-  const auto res = routing.recompute(view, id_range(0, n), {}, &pib);
-  EXPECT_FALSE(res.full_refresh);
-  EXPECT_EQ(res.sources_solved, static_cast<std::size_t>(n));
-  GlobalRouting oracle;
-  Pib want;
-  oracle.recompute_reference(view, id_range(0, n), {}, &want);
-  expect_pib_routes_equal(pib, want);
-}
-
-TEST(Incremental, TopologyChangeAndCadenceForceFullRefresh) {
+TEST(PibDifferential, ShrinkingNodeSetAgesOutStalePairs) {
   ViewSpec spec;
   spec.n = 8;
   spec.seed = 41;
   const GlobalDiscovery view = make_view(spec);
-  GlobalRoutingConfig cfg;
-  cfg.incremental = true;
-  cfg.full_refresh_every = 2;
-  GlobalRouting routing(cfg);
+  GlobalRouting routing;
   Pib pib;
-  EXPECT_TRUE(routing.recompute(view, id_range(0, 8), {}, &pib).full_refresh);
-  EXPECT_FALSE(routing.recompute(view, id_range(0, 8), {}, &pib).full_refresh);
-  // Cadence: the second incremental-eligible cycle is promoted to full.
-  EXPECT_TRUE(routing.recompute(view, id_range(0, 8), {}, &pib).full_refresh);
-  // Topology change: node set shrinks -> full, and stale pairs age out.
-  const auto res = routing.recompute(view, id_range(0, 7), {}, &pib);
-  EXPECT_TRUE(res.full_refresh);
+  routing.recompute(view, id_range(0, 8), {}, &pib);
+  EXPECT_EQ(pib.pair_count(), 8u * 7u);
+  // A long-lived module whose node set shrinks installs only the
+  // surviving pairs: the removed node's routes do not linger.
+  routing.recompute(view, id_range(0, 7), {}, &pib);
   EXPECT_EQ(pib.pair_count(), 7u * 6u);
-}
-
-// ---------------------------------------------------------------------------
-// Discovery dirty tracking.
-
-TEST(DirtyTracking, ThresholdsGateMarksAndSeqFilters) {
-  GlobalDiscovery view;
-  const int n = 3;
-  for (int a = 0; a < n; ++a) report_node(&view, a, n, 0.2, {}, 100.0);
-  const std::uint64_t after_seed = view.dirty_seq();
-  EXPECT_GT(after_seed, 0u);  // first sightings are dirty
-
-  // Identical re-report: nothing moves.
-  report_node(&view, 0, n, 0.2, {}, 100.0);
-  EXPECT_EQ(view.dirty_seq(), after_seed);
-
-  // Sub-threshold wiggles: 1% RTT, 0.01 load.
-  report_node(&view, 0, n, 0.21, {}, 101.0);
-  EXPECT_EQ(view.dirty_seq(), after_seed);
-
-  // Above-threshold RTT move dirties exactly the moved links.
-  report_node(&view, 0, n, 0.21, {{1, 200.0}}, 101.0);
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> links;
-  std::vector<sim::NodeId> dnodes;
-  view.dirty_since(after_seed, &links, &dnodes);
-  ASSERT_EQ(links.size(), 1u);
-  EXPECT_EQ(links[0], (std::pair<sim::NodeId, sim::NodeId>{0, 1}));
-  EXPECT_TRUE(dnodes.empty());
-
-  // Load move beyond 0.05 dirties the node.
-  const std::uint64_t before_load = view.dirty_seq();
-  report_node(&view, 1, n, 0.5, {}, 100.0);
-  links.clear();
-  dnodes.clear();
-  view.dirty_since(before_load, &links, &dnodes);
-  ASSERT_EQ(dnodes.size(), 1u);
-  EXPECT_EQ(dnodes[0], 1);
-
-  // Alarms always mark.
-  const std::uint64_t before_alarm = view.dirty_seq();
-  overlay::OverloadAlarm alarm;
-  alarm.node = 2;
-  alarm.node_load = 0.95;
-  alarm.overloaded_links = {0};
-  view.on_alarm(alarm, nullptr);
-  links.clear();
-  dnodes.clear();
-  view.dirty_since(before_alarm, &links, &dnodes);
-  EXPECT_EQ(dnodes.size(), 1u);
-  EXPECT_EQ(links.size(), 1u);
 }
 
 TEST(PibBuffer, SwapRoutesPreservesOverloadMarks) {
@@ -535,9 +387,8 @@ TEST(ThreadSweep, FullRecomputeBitIdenticalAcrossThreadCounts) {
     const auto relays = id_range(c.spec.n, c.spec.n + c.spec.lr);
     GlobalRoutingConfig cfg;
     cfg.k = c.k;
-    GlobalRouting reference(cfg);
     Pib want;
-    const auto ref = reference.recompute_reference(view, nodes, relays, &want);
+    const auto ref = recompute_reference(cfg, view, nodes, relays, &want);
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       cfg.threads = threads;
@@ -552,13 +403,13 @@ TEST(ThreadSweep, FullRecomputeBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ThreadSweep, IncrementalChurnSequenceBitIdenticalAcrossThreadCounts) {
+TEST(ThreadSweep, ChurnSequenceBitIdenticalAcrossThreadCounts) {
   // One long-lived module per thread count, each fed an identical view
-  // and an identical churn sequence: every cycle's installed PIB (and
-  // its skip/solve accounting) must match the threads=1 instance —
-  // including cycles where the dirty set prunes most sources, a
-  // no-change cycle that skips everything, and the cadence-forced full
-  // refresh mid-sequence.
+  // and an identical churn sequence, so the per-worker solvers are
+  // warm-started from cycle to cycle. Every cycle's installed PIB must
+  // match the threads=1 instance and a from-scratch reference solve —
+  // including the untouched cycles, where the graph version does not
+  // move and the solvers reuse last cycle's tree caches.
   const int n = 12;
   const std::vector<std::size_t> sweep{1, 2, 4, 8};
   ViewSpec spec;
@@ -566,8 +417,6 @@ TEST(ThreadSweep, IncrementalChurnSequenceBitIdenticalAcrossThreadCounts) {
   spec.link_prob = 0.6;
   spec.seed = 64;
   GlobalRoutingConfig cfg;
-  cfg.incremental = true;
-  cfg.full_refresh_every = 4;  // forces a full refresh inside the run
   std::vector<GlobalDiscovery> views;
   std::vector<GlobalRouting> routings;
   std::vector<Pib> pibs(sweep.size());
@@ -577,14 +426,13 @@ TEST(ThreadSweep, IncrementalChurnSequenceBitIdenticalAcrossThreadCounts) {
     routings.emplace_back(cfg);
   }
   const auto nodes = id_range(0, n);
-  bool saw_cadence_refresh = false;
-  bool saw_pruned_cycle = false;
+  Pib first_cycle;
+  bool routes_moved = false;
   for (int cycle = 0; cycle < 8; ++cycle) {
     SCOPED_TRACE("cycle=" + std::to_string(cycle));
-    // Deterministic churn, applied identically to every instance (so
-    // the dirty sets agree bit-for-bit): two links of one node move
-    // each cycle, except every third cycle which leaves the view
-    // untouched to exercise the skip-everything path.
+    // Deterministic churn, applied identically to every instance: two
+    // links of one node move each cycle, except every third cycle
+    // which leaves the view untouched.
     if (cycle > 0 && cycle % 3 != 0) {
       const int victim = cycle % n;
       const double ms = 15.0 + 37.0 * cycle;
@@ -607,35 +455,25 @@ TEST(ThreadSweep, IncrementalChurnSequenceBitIdenticalAcrossThreadCounts) {
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       results.push_back(routings[i].recompute(views[i], nodes, {}, &pibs[i]));
     }
-    for (std::size_t i = 1; i < sweep.size(); ++i) {
+    Pib want;
+    const auto ref = recompute_reference(cfg, views[0], nodes, {}, &want);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(sweep[i]));
-      EXPECT_EQ(results[i].full_refresh, results[0].full_refresh);
       EXPECT_EQ(results[i].sources_solved, results[0].sources_solved);
-      EXPECT_EQ(results[i].sources_skipped, results[0].sources_skipped);
-      EXPECT_EQ(results[i].pairs_solved, results[0].pairs_solved);
-      EXPECT_EQ(results[i].pairs_skipped, results[0].pairs_skipped);
-      EXPECT_EQ(results[i].paths_installed, results[0].paths_installed);
-      EXPECT_EQ(results[i].last_resort_pairs, results[0].last_resort_pairs);
+      EXPECT_EQ(results[i].pairs_solved, ref.pairs_solved);
+      EXPECT_EQ(results[i].paths_installed, ref.paths_installed);
+      EXPECT_EQ(results[i].last_resort_pairs, ref.last_resort_pairs);
       expect_pib_routes_equal(pibs[i], pibs[0]);
+      expect_pib_routes_equal(pibs[i], want);
     }
-    // On full-refresh cycles the incremental state is irrelevant, so
-    // every instance must also agree with a from-scratch reference
-    // solve. (Pruned cycles can be legitimately stale for sources the
-    // dirty-set heuristic skipped — there the cross-thread comparison
-    // above is the whole contract.)
-    if (results[0].full_refresh) {
-      GlobalRouting oracle;
-      Pib want;
-      oracle.recompute_reference(views[0], nodes, {}, &want);
-      expect_pib_routes_equal(pibs[0], want);
-      if (cycle > 0) saw_cadence_refresh = true;
-    } else {
-      saw_pruned_cycle = true;
+    if (cycle == 0) {
+      first_cycle = want;
+    } else if (pib_routes_differ(want, first_cycle)) {
+      routes_moved = true;
     }
   }
-  // The sequence must actually have exercised both regimes.
-  EXPECT_TRUE(saw_cadence_refresh);
-  EXPECT_TRUE(saw_pruned_cycle);
+  // The churn must actually have moved installed routes.
+  EXPECT_TRUE(routes_moved);
 }
 
 }  // namespace
