@@ -7,14 +7,12 @@
 #include "bench_main.h"
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "livenet/sharded_scale.h"
 #include "media/packetizer.h"
 #include "overlay/packet_cache.h"
 #include "overlay/stream_context.h"
-#include "overlay/stream_fib.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
 #include "transport/gcc.h"
@@ -41,18 +39,18 @@ media::RtpPacketPtr make_packet(media::StreamId s, media::Seq seq,
 }
 
 void BM_FibLookupAndForward(benchmark::State& state) {
-  // The fast path's per-packet work: FIB lookup + a per-subscriber
-  // trailer fork sharing one refcounted body (was: a full deep clone,
-  // as BM_FibLookupAndClone).
-  overlay::StreamFib fib;
+  // The fast path's per-packet work: one StreamTable probe for the
+  // stream's context + a per-subscriber trailer fork sharing one
+  // refcounted body (was: a full deep clone, as BM_FibLookupAndClone).
+  overlay::StreamTable table;
   for (media::StreamId s = 1; s <= 200; ++s) {
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>((s + 1) % 20));
+    table.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
+    table.add_node_subscriber(s, static_cast<sim::NodeId>((s + 1) % 20));
   }
   const auto pkt = make_packet(77, 1);
-  fib.add_node_subscriber(77, 5);
+  table.add_node_subscriber(77, 5);
   for (auto _ : state) {
-    const auto* e = fib.find(pkt->stream_id());
+    const overlay::FibEntry* e = &table.find_context(pkt->stream_id())->fib;
     benchmark::DoNotOptimize(e);
     for (const auto n : e->subscriber_nodes) {
       auto clone = pkt->fork();
@@ -73,15 +71,15 @@ void BM_LayerFilterForward(benchmark::State& state) {
   // subscriber costs one mask AND — never a trailer allocation. The
   // all-layers subscribers pay the same fork as BM_FibLookupAndForward,
   // keeping the unmasked fast path at its baseline cost.
-  overlay::StreamFib fib;
+  overlay::StreamTable table;
   for (media::StreamId s = 1; s <= 200; ++s) {
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>((s + 1) % 20));
+    table.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
+    table.add_node_subscriber(s, static_cast<sim::NodeId>((s + 1) % 20));
   }
-  fib.add_node_subscriber(77, 5);
-  fib.add_node_subscriber(77, 6);
+  table.add_node_subscriber(77, 5);
+  table.add_node_subscriber(77, 6);
   // Node 5 keeps everything; node 6 wants the base temporal layer only.
-  fib.entry(77).set_node_mask(6, media::layer_bit(0, 0));
+  table.fib_entry(77).set_node_mask(6, media::layer_bit(0, 0));
   media::RtpBody body;
   body.stream_id = 77;
   body.seq = 1;
@@ -97,7 +95,7 @@ void BM_LayerFilterForward(benchmark::State& state) {
   const media::LayerMask bit = pkt->layer_mask_bit();
   std::uint64_t filtered = 0;
   for (auto _ : state) {
-    const auto* e = fib.find(pkt->stream_id());
+    const overlay::FibEntry* e = &table.find_context(pkt->stream_id())->fib;
     benchmark::DoNotOptimize(e);
     const bool masked = e->any_layer_filter();
     for (const auto n : e->subscriber_nodes) {
@@ -120,33 +118,10 @@ void BM_LayerFilterForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerFilterForward);
 
-// Before/after of the StreamContext unification. The old node resolved
-// per-stream state through parallel hash maps: the RTP handler probed
-// the FIB, and the per-stream state map (framer, caches, path state)
-// was a second, separately-keyed probe. The unified StreamTable folds
-// both into one context record, so the per-packet path pays exactly one
-// hash probe and carries the pointer through fast and slow path.
-void BM_SplitMapLookup(benchmark::State& state) {
-  // "Before": FIB probe + per-stream state probe per packet.
-  overlay::StreamFib fib;
-  std::unordered_map<media::StreamId, overlay::StreamContext> streams;
-  for (media::StreamId s = 1; s <= 200; ++s) {
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
-    streams[s].paths_fetched = static_cast<Time>(s);
-  }
-  const auto pkt = make_packet(77, 1);
-  for (auto _ : state) {
-    const auto* e = fib.find(pkt->stream_id());
-    benchmark::DoNotOptimize(e);
-    const auto it = streams.find(pkt->stream_id());
-    benchmark::DoNotOptimize(it->second.paths_fetched);
-    benchmark::DoNotOptimize(e->subscriber_nodes.size());
-  }
-}
-BENCHMARK(BM_SplitMapLookup);
-
+// The per-packet stream lookup: one StreamTable probe yields the FIB
+// entry and the stream's state, and the RTP handler carries the pointer
+// through fast and slow path.
 void BM_StreamContextLookup(benchmark::State& state) {
-  // "After": one StreamTable probe yields FIB entry + stream state.
   overlay::StreamTable table;
   for (media::StreamId s = 1; s <= 200; ++s) {
     table.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));

@@ -1,40 +1,13 @@
 // Microbenchmark: Path Decision lookups — the paper claims "the path
 // lookup takes only a few milliseconds" end to end, with the in-memory
-// hash lookups themselves far cheaper. Also benches PIB invalidation
-// and the stamp-invalidated lookup cache that serves the request path.
+// hash lookups themselves far cheaper. Also benches SIB updates and
+// PIB overload mark/clear.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-#include <new>
-
 #include "brain/path_decision.h"
 #include "util/rng.h"
-
-// TU-level allocation probe: replaceable global operator new/delete
-// with a counter. The default operator new[] routes through operator
-// new, so one pair covers both. Used to prove the warm-cache lookup
-// is allocation-free (the cached Lookup is refilled in place).
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-// GCC inlines the pair and flags free() as mismatched with the custom
-// operator new above; they do match (new mallocs, delete frees).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -68,69 +41,20 @@ struct Fixture {
   }
 };
 
-/// The request path as the Brain actually runs it: warm stamp-checked
-/// cache hits. Reports allocations per lookup — must be zero.
+/// The request path as the Brain runs it: SIB probe, PIB probe and the
+/// overload filter over the candidates (no marks live).
 void BM_PathLookup(benchmark::State& state) {
   Fixture fx;
   PathDecision pd(&fx.pib, &fx.sib);
   Rng rng(9);
-  // Warm every (producer, consumer) pair the loop can touch.
-  for (const auto s : fx.streams) {
-    for (const auto n : fx.nodes) pd.get_path_cached(s, n);
-  }
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    const media::StreamId s = fx.streams[rng.index(fx.streams.size())];
-    const sim::NodeId consumer =
-        static_cast<sim::NodeId>(rng.index(fx.nodes.size()));
-    benchmark::DoNotOptimize(pd.get_path_cached(s, consumer).paths.size());
-  }
-  const auto delta = static_cast<double>(
-      g_allocs.load(std::memory_order_relaxed) - allocs_before);
-  state.counters["allocs_per_iter"] =
-      benchmark::Counter(delta, benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_PathLookup);
-
-/// The pre-cache oracle: rebuilds the candidate list per request.
-void BM_PathLookupUncached(benchmark::State& state) {
-  Fixture fx;
-  PathDecision pd(&fx.pib, &fx.sib);
-  Rng rng(9);
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     const media::StreamId s = fx.streams[rng.index(fx.streams.size())];
     const sim::NodeId consumer =
         static_cast<sim::NodeId>(rng.index(fx.nodes.size()));
     benchmark::DoNotOptimize(pd.get_path(s, consumer).paths.size());
   }
-  const auto delta = static_cast<double>(
-      g_allocs.load(std::memory_order_relaxed) - allocs_before);
-  state.counters["allocs_per_iter"] =
-      benchmark::Counter(delta, benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_PathLookupUncached);
-
-/// Dirty-stamp churn: an overload mark/clear every 64 lookups bumps the
-/// PIB version, forcing in-place refills of the touched entries.
-void BM_PathLookupUnderChurn(benchmark::State& state) {
-  Fixture fx;
-  PathDecision pd(&fx.pib, &fx.sib);
-  Rng rng(11);
-  int i = 0;
-  for (auto _ : state) {
-    if ((i & 63) == 0) {
-      fx.pib.mark_node_overloaded(i % 60);
-      fx.pib.clear_node_overloaded((i + 30) % 60);
-    }
-    const media::StreamId s = fx.streams[rng.index(fx.streams.size())];
-    const sim::NodeId consumer =
-        static_cast<sim::NodeId>(rng.index(fx.nodes.size()));
-    benchmark::DoNotOptimize(pd.get_path_cached(s, consumer).paths.size());
-    ++i;
-  }
-}
-BENCHMARK(BM_PathLookupUnderChurn);
+BENCHMARK(BM_PathLookup);
 
 void BM_PathLookupWithOverloads(benchmark::State& state) {
   Fixture fx;

@@ -9,7 +9,7 @@
 #include "bench_main.h"
 
 #include "media/packetizer.h"
-#include "overlay/stream_fib.h"
+#include "overlay/stream_context.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -80,16 +80,16 @@ void BM_FibForwardWithSampling(benchmark::State& state) {
   telemetry::TraceSampler sampler;
   sampler.set_fraction(fraction);
 
-  overlay::StreamFib fib;
+  overlay::StreamTable table;
   for (media::StreamId s = 1; s <= 200; ++s) {
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
-    fib.add_node_subscriber(s, static_cast<sim::NodeId>((s + 1) % 20));
+    table.add_node_subscriber(s, static_cast<sim::NodeId>(s % 20));
+    table.add_node_subscriber(s, static_cast<sim::NodeId>((s + 1) % 20));
   }
-  fib.add_node_subscriber(77, 5);
+  table.add_node_subscriber(77, 5);
   media::Seq seq = 1;
   for (auto _ : state) {
     const auto pkt = make_packet(77, seq++, sampler.sample());
-    const auto* e = fib.find(pkt->stream_id());
+    const overlay::FibEntry* e = &table.find_context(pkt->stream_id())->fib;
     benchmark::DoNotOptimize(e);
     for (const auto n : e->subscriber_nodes) {
       auto clone = pkt->fork();

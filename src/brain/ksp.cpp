@@ -34,9 +34,6 @@ struct CoreBans {
   /// originate at the spur node, so the general edge check collapses
   /// to a tiny membership test applied only while relaxing the source).
   const std::vector<std::uint32_t>* banned_next = nullptr;
-  /// Arbitrary banned directed edges (public shortest_path API only).
-  const std::vector<std::pair<std::size_t, std::size_t>>* banned_edges =
-      nullptr;
   /// Bound pruning (Yen spur fallback): when `h_to_dst` is set, a write
   /// of nd into v is skipped if nd + h(v) > prune_bound, where
   /// h(v) = h_to_dst[v] (the cached unrestricted tree distance v..dst
@@ -56,7 +53,7 @@ struct CoreBans {
 /// full tree). `dist`/`prev`/`settled` must each hold n elements.
 ///
 /// Initialization contract: with `touched == nullptr` the arrays are
-/// fully (re)initialized here (one-shot callers). With a `touched`
+/// fully (re)initialized here (tree builds). With a `touched`
 /// list, the arrays must already be at baseline (+inf / n / 0) except
 /// for the cells named by the list — the cells the *previous* call
 /// wrote — which are reset here, and the list is rebuilt for the next
@@ -123,13 +120,6 @@ void dijkstra_core(const RoutingGraph::CsrView& csr, std::size_t n,
         }
         if (banned) continue;
       }
-      if (bans.banned_edges != nullptr && !bans.banned_edges->empty() &&
-          std::find(bans.banned_edges->begin(), bans.banned_edges->end(),
-                    std::make_pair(static_cast<std::size_t>(u),
-                                   static_cast<std::size_t>(v))) !=
-              bans.banned_edges->end()) {
-        continue;
-      }
       const double nd = du + csr.weight[e];
       if (nd < dist[v]) {
         if (bans.h_to_dst != nullptr) {
@@ -161,76 +151,6 @@ void extract_path(const std::uint32_t* prev, std::size_t src,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Public single-pair / single-source entry points (new core).
-
-std::optional<WeightedPath> shortest_path(
-    const RoutingGraph& g, std::size_t src, std::size_t dst,
-    const std::vector<bool>* banned_nodes,
-    const std::vector<std::pair<std::size_t, std::size_t>>* banned_edges) {
-  const std::size_t n = g.size();
-  if (src >= n || dst >= n) return std::nullopt;
-  if (banned_nodes != nullptr &&
-      ((*banned_nodes)[src] || (*banned_nodes)[dst])) {
-    return std::nullopt;
-  }
-  if (src == dst) return WeightedPath{{src}, 0.0};
-
-  std::vector<std::uint8_t> banned;
-  CoreBans bans;
-  if (banned_nodes != nullptr) {
-    banned.assign(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      banned[v] = (*banned_nodes)[v] ? 1 : 0;
-    }
-    bans.banned_node = banned.data();
-  }
-  bans.banned_edges = banned_edges;
-
-  std::vector<double> dist(n);
-  std::vector<std::uint32_t> prev(n);
-  std::vector<std::uint8_t> settled(n);
-  std::vector<std::uint32_t> frontier;
-  dijkstra_core(g.csr(), n, src, dst, bans, dist.data(), prev.data(),
-                settled.data(), &frontier, nullptr);
-  if (dist[dst] == kInf) return std::nullopt;
-  WeightedPath out;
-  out.cost = dist[dst];
-  extract_path(prev.data(), src, dst, &out.nodes);
-  return out;
-}
-
-ShortestPathTree shortest_path_tree(const RoutingGraph& g, std::size_t src) {
-  const std::size_t n = g.size();
-  ShortestPathTree t;
-  t.dist.assign(n, kInf);
-  t.prev.assign(n, n);
-  if (src >= n) return t;
-  std::vector<std::uint32_t> prev(n);
-  std::vector<std::uint8_t> settled(n);
-  std::vector<std::uint32_t> frontier;
-  dijkstra_core(g.csr(), n, src, n, CoreBans{}, t.dist.data(), prev.data(),
-                settled.data(), &frontier, nullptr);
-  for (std::size_t v = 0; v < n; ++v) t.prev[v] = prev[v];
-  return t;
-}
-
-std::optional<WeightedPath> ShortestPathTree::path_to(std::size_t src,
-                                                      std::size_t dst) const {
-  const std::size_t n = dist.size();
-  if (src >= n || dst >= n) return std::nullopt;
-  if (src == dst) return WeightedPath{{src}, 0.0};
-  if (dist[dst] == kInf) return std::nullopt;
-  WeightedPath out;
-  out.cost = dist[dst];
-  for (std::size_t cur = dst; cur != n; cur = prev[cur]) {
-    out.nodes.push_back(cur);
-    if (cur == src) break;
-  }
-  std::reverse(out.nodes.begin(), out.nodes.end());
-  return out;
-}
-
 std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
                                            std::size_t src, std::size_t dst,
                                            std::size_t k) {
@@ -238,7 +158,12 @@ std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
   if (k == 0 || src >= g.size() || dst >= g.size()) return out;
   KspSolver solver(g);
   solver.set_source(src);
-  solver.k_shortest(dst, k, &out);
+  const std::size_t cnt = solver.k_shortest_scratch(dst, k);
+  out.reserve(cnt);
+  for (std::size_t i = 0; i < cnt; ++i) {
+    out.push_back(WeightedPath{solver.accepted_nodes(i),
+                               solver.accepted_cost(i)});
+  }
   return out;
 }
 
@@ -293,21 +218,6 @@ void KspSolver::set_source(std::size_t src) {
   src_ = src;
   src_set_ = true;
   ensure_tree(src);
-}
-
-const double* KspSolver::source_dist() const {
-  return tree_dist_.data() + src_ * n_;
-}
-
-std::optional<WeightedPath> KspSolver::first_path(std::size_t dst) const {
-  if (!src_set_ || dst >= n_) return std::nullopt;
-  if (dst == src_) return WeightedPath{{src_}, 0.0};
-  const double* d = tree_dist_.data() + src_ * n_;
-  if (d[dst] == kInf) return std::nullopt;
-  WeightedPath out;
-  out.cost = d[dst];
-  extract_path(tree_prev_.data() + src_ * n_, src_, dst, &out.nodes);
-  return out;
 }
 
 std::size_t KspSolver::acquire_slot() {
@@ -564,16 +474,6 @@ bool KspSolver::stitch_search(std::size_t spur, std::size_t dst,
   return true;
 }
 
-void KspSolver::k_shortest(std::size_t dst, std::size_t k,
-                           std::vector<WeightedPath>* out) {
-  const std::size_t cnt = k_shortest_scratch(dst, k);
-  out->clear();
-  out->reserve(cnt);
-  for (std::size_t i = 0; i < cnt; ++i) {
-    out->push_back(WeightedPath{accepted_nodes(i), accepted_cost(i)});
-  }
-}
-
 std::size_t KspSolver::k_shortest_scratch(std::size_t dst, std::size_t k) {
   arena_used_ = 0;
   accepted_.clear();
@@ -583,7 +483,7 @@ std::size_t KspSolver::k_shortest_scratch(std::size_t dst, std::size_t k) {
   ++pairs_served_;
 
   // First (shortest) path, read off the source tree into an arena
-  // slot (exactly first_path(), minus the per-call allocation).
+  // slot.
   if (!src_set_ || dst >= n_) return 0;
   {
     const std::size_t slot = acquire_slot();

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "brain/routing_graph.h"
@@ -13,20 +12,20 @@
 // the K Shortest Paths (KSP) algorithm"). Yen's algorithm over a
 // Dijkstra core, yielding loopless paths in non-decreasing cost order.
 //
-// Two implementations exist:
+// KspSolver is the one implementation: an allocation-free array
+// Dijkstra over the graph's CSR view (DijkstraWorkspace) plus a
+// per-source batched Yen that shares one forward shortest-path tree
+// across every destination and caches per-node trees for spur fast
+// paths. GlobalRouting runs it; k_shortest_paths() is a one-shot
+// wrapper for a single pair.
 //
-//  * The production pipeline: an allocation-free array Dijkstra over
-//    the graph's CSR view (DijkstraWorkspace) plus a per-source batched
-//    Yen (KspSolver) that shares one forward shortest-path tree across
-//    every destination and caches per-node trees for spur fast paths.
-//  * The original per-pair heap implementation, preserved verbatim as
-//    `*_reference` in the test tree (tests/routing_oracle.h) — the
-//    oracle for the differential tests. The production pipeline is
-//    required to be *bit-identical* to it,
-//    including equal-cost tie-breaking, which pins down the shared
-//    discipline: nodes settle in ascending (dist, index) order,
-//    neighbors relax in ascending index order, and only strict
-//    improvements update dist/prev.
+// The original per-pair heap implementation lives in the test tree as
+// `*_reference` (tests/routing_oracle.h), the oracle of the
+// differential tests. The solver is required to be *bit-identical* to
+// it, including equal-cost tie-breaking, which pins down the shared
+// discipline: nodes settle in ascending (dist, index) order, neighbors
+// relax in ascending index order, and only strict improvements update
+// dist/prev.
 namespace livenet::brain {
 
 struct WeightedPath {
@@ -34,35 +33,12 @@ struct WeightedPath {
   double cost = 0.0;
 };
 
-/// Single-pair Dijkstra. `banned_nodes[i]` excludes node i entirely;
-/// `banned_edges` excludes specific directed edges (pairs a->b).
-std::optional<WeightedPath> shortest_path(
-    const RoutingGraph& g, std::size_t src, std::size_t dst,
-    const std::vector<bool>* banned_nodes = nullptr,
-    const std::vector<std::pair<std::size_t, std::size_t>>* banned_edges =
-        nullptr);
-
-/// Single-source shortest-path tree (run to completion, no bans).
-/// Relaxation order matches shortest_path() exactly, so the path read
-/// off the tree for any dst is identical to a per-pair call — which is
-/// what lets all-pairs k=1 routing amortize one Dijkstra per source.
-struct ShortestPathTree {
-  std::vector<double> dist;       ///< +infinity when unreachable
-  std::vector<std::size_t> prev;  ///< g.size() for root/unreachable
-
-  /// Reconstructs src..dst (empty when dst is unreachable).
-  std::optional<WeightedPath> path_to(std::size_t src, std::size_t dst) const;
-};
-ShortestPathTree shortest_path_tree(const RoutingGraph& g, std::size_t src);
-
-/// Yen's K shortest loopless paths. Returns up to k paths sorted by
-/// cost (fewer if the graph does not admit k distinct paths).
+/// Yen's K shortest loopless paths for one pair, on a fresh KspSolver.
+/// Returns up to k paths sorted by cost (fewer if the graph does not
+/// admit k distinct paths).
 std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
                                            std::size_t src, std::size_t dst,
                                            std::size_t k);
-
-// ---------------------------------------------------------------------------
-// Optimized pipeline internals (exposed for GlobalRouting and benchmarks).
 
 /// Reusable buffers for the array-based Dijkstra core: per-pair and
 /// per-spur calls stop allocating once the workspace has been sized to
@@ -124,30 +100,17 @@ class KspSolver {
   void set_source(std::size_t src);
   std::size_t source() const { return src_; }
 
-  /// First (shortest) path to dst, read off the source tree. Identical
-  /// to shortest_path(g, source(), dst).
-  std::optional<WeightedPath> first_path(std::size_t dst) const;
-
-  /// Up to k shortest loopless paths source()->dst, appended into
-  /// `*out` (cleared first). Identical to
+  /// Up to k shortest loopless paths source()->dst, solved into
+  /// solver-owned storage (path arena + accepted list, all reused across
+  /// calls and cycles); returns the number of paths found (<= k). Read
+  /// path i through accepted_nodes(i)/accepted_cost(i); the storage is
+  /// valid until the next call. Identical to
   /// k_shortest_paths_reference(g, source(), dst, k).
-  void k_shortest(std::size_t dst, std::size_t k,
-                  std::vector<WeightedPath>* out);
-
-  /// Allocation-free variant: solves into solver-owned storage (path
-  /// arena + accepted list, all reused across calls and cycles) and
-  /// returns the number of paths found (<= k). Read path i through
-  /// accepted_nodes(i)/accepted_cost(i); the storage is valid until
-  /// the next k_shortest/k_shortest_scratch call. Result sequence is
-  /// identical to k_shortest().
   std::size_t k_shortest_scratch(std::size_t dst, std::size_t k);
   const std::vector<std::size_t>& accepted_nodes(std::size_t i) const {
     return arena_[accepted_[i].slot];
   }
   double accepted_cost(std::size_t i) const { return accepted_[i].cost; }
-
-  /// Distance row of the source tree (for diagnostics/tests).
-  const double* source_dist() const;
 
  private:
   void ensure_tree(std::size_t root);

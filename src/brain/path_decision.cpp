@@ -2,60 +2,28 @@
 
 namespace livenet::brain {
 
-namespace {
-std::uint64_t pair_key(sim::NodeId a, sim::NodeId b) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-         static_cast<std::uint32_t>(b);
-}
-}  // namespace
-
-void PathDecision::fill(sim::NodeId producer, sim::NodeId consumer,
-                        Lookup* out) const {
-  out->paths.clear();
-  out->stream_known = true;
-  out->last_resort = false;
-
-  if (producer == consumer) {
-    // 0-length path: the consumer is the producer.
-    out->paths.push_back(overlay::Path{consumer});
-    return;
-  }
-
-  pib_->append_valid(producer, consumer, &out->paths);
-  if (out->paths.empty()) {
-    overlay::Path lr = pib_->last_resort(producer, consumer);
-    if (!lr.empty()) {
-      out->paths.push_back(std::move(lr));
-      out->last_resort = true;
-    }
-  }
-}
-
 PathDecision::Lookup PathDecision::get_path(media::StreamId stream,
                                             sim::NodeId consumer) const {
   Lookup out;
   const sim::NodeId producer = sib_->producer_of(stream);
   if (producer == sim::kNoNode) return out;  // unknown stream
-  fill(producer, consumer, &out);
-  return out;
-}
+  out.stream_known = true;
 
-const PathDecision::Lookup& PathDecision::get_path_cached(
-    media::StreamId stream, sim::NodeId consumer) const {
-  const sim::NodeId producer = sib_->producer_of(stream);
-  if (producer == sim::kNoNode) {
-    // Unknown streams do not occupy cache entries: they churn (every
-    // not-yet-registered stream hits here) and their answer is constant.
-    static const Lookup kUnknown;
-    return kUnknown;
+  if (producer == consumer) {
+    // 0-length path: the consumer is the producer.
+    out.paths.push_back(overlay::Path{consumer});
+    return out;
   }
-  CacheEntry& e = cache_[pair_key(producer, consumer)];
-  const std::uint64_t stamp = pib_->version();
-  if (e.stamp != stamp) {
-    fill(producer, consumer, &e.lookup);
-    e.stamp = stamp;
+
+  out.paths = pib_->valid_paths(producer, consumer);
+  if (out.paths.empty()) {
+    overlay::Path lr = pib_->last_resort(producer, consumer);
+    if (!lr.empty()) {
+      out.paths.push_back(std::move(lr));
+      out.last_resort = true;
+    }
   }
-  return e.lookup;
+  return out;
 }
 
 }  // namespace livenet::brain

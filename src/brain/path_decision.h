@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "brain/pib.h"
@@ -12,15 +10,6 @@
 // SIB, then keys (producer, consumer) into the PIB; invalid (overload-
 // marked) candidates are filtered; if nothing survives, the last-resort
 // path is returned.
-//
-// Lookups are memoised per (producer, consumer) pair, stamped with the
-// PIB's dirty version: a warm hit is one SIB probe, one cache probe and
-// a stamp compare — no candidate filtering, no allocation. Any
-// effective PIB mutation (route install/swap, overload mark or clear)
-// bumps the stamp and lazily invalidates every entry at once. Keying on
-// the producer rather than the stream means a producer migration simply
-// shifts the request to a different (already-correct) entry, and the
-// cache stays bounded by node pairs, not by stream count.
 namespace livenet::brain {
 
 class PathDecision {
@@ -33,30 +22,11 @@ class PathDecision {
 
   PathDecision(const Pib* pib, const Sib* sib) : pib_(pib), sib_(sib) {}
 
-  /// Uncached reference lookup: always recomputes from the PIB. Kept as
-  /// the oracle the cached path is differentially tested against.
   Lookup get_path(media::StreamId stream, sim::NodeId consumer) const;
 
-  /// Memoised lookup. The reference stays valid until the next
-  /// get_path_cached call (single-threaded request loop); callers that
-  /// need the paths beyond that must copy.
-  const Lookup& get_path_cached(media::StreamId stream,
-                                sim::NodeId consumer) const;
-
-  std::size_t cache_size() const { return cache_.size(); }
-
  private:
-  struct CacheEntry {
-    std::uint64_t stamp = 0;  ///< Pib::version() at fill; 0 = never
-    Lookup lookup;
-  };
-
-  /// Recomputes `out` in place (reuses its vector storage).
-  void fill(sim::NodeId producer, sim::NodeId consumer, Lookup* out) const;
-
   const Pib* pib_;
   const Sib* sib_;
-  mutable std::unordered_map<std::uint64_t, CacheEntry> cache_;
 };
 
 }  // namespace livenet::brain

@@ -5,13 +5,11 @@ namespace livenet::brain {
 void Pib::set_paths(sim::NodeId src, sim::NodeId dst,
                     std::vector<overlay::Path> paths) {
   paths_[pair_key(src, dst)] = std::move(paths);
-  bump();
 }
 
 void Pib::set_last_resort(sim::NodeId src, sim::NodeId dst,
                           overlay::Path path) {
   fallbacks_[pair_key(src, dst)] = std::move(path);
-  bump();
 }
 
 const std::vector<overlay::Path>* Pib::find(sim::NodeId src,
@@ -35,22 +33,12 @@ bool Pib::is_invalid(const overlay::Path& p) const {
 std::vector<overlay::Path> Pib::valid_paths(sim::NodeId src,
                                             sim::NodeId dst) const {
   std::vector<overlay::Path> out;
-  append_valid(src, dst, &out);
-  return out;
-}
-
-void Pib::append_valid(sim::NodeId src, sim::NodeId dst,
-                       std::vector<overlay::Path>* out) const {
   const auto* all = find(src, dst);
-  if (all == nullptr) return;
-  if (hot_nodes_.empty() && hot_links_.empty()) {
-    // Nothing marked: every candidate survives, skip the per-hop probes.
-    out->insert(out->end(), all->begin(), all->end());
-    return;
-  }
+  if (all == nullptr) return out;
   for (const auto& p : *all) {
-    if (!is_invalid(p)) out->push_back(p);
+    if (!is_invalid(p)) out.push_back(p);
   }
+  return out;
 }
 
 std::vector<std::pair<sim::NodeId, sim::NodeId>> Pib::pairs() const {
@@ -77,8 +65,6 @@ const overlay::Path* Pib::find_last_resort(sim::NodeId src,
 void Pib::swap_routes(Pib* other) {
   paths_.swap(other->paths_);
   fallbacks_.swap(other->fallbacks_);
-  bump();
-  other->bump();
 }
 
 }  // namespace livenet::brain

@@ -33,13 +33,6 @@ class Pib {
   std::vector<overlay::Path> valid_paths(sim::NodeId src,
                                          sim::NodeId dst) const;
 
-  /// Appends the surviving candidates for the pair to `out` (no clear).
-  /// One pass over the installed set, with a copy-only fast path when
-  /// no overload marks are live — the common case for Algorithm 1's
-  /// filter, which otherwise pays per-hop hash probes per candidate.
-  void append_valid(sim::NodeId src, sim::NodeId dst,
-                    std::vector<overlay::Path>* out) const;
-
   /// Last-resort path for the pair (empty if none installed).
   overlay::Path last_resort(sim::NodeId src, sim::NodeId dst) const;
 
@@ -56,19 +49,14 @@ class Pib {
   /// marks survive the swap.
   void swap_routes(Pib* other);
 
-  // Real-time overload marks (Global Discovery). Each effective change
-  // bumps the version stamp (no-op marks do not churn lookup caches).
-  void mark_node_overloaded(sim::NodeId n) {
-    if (hot_nodes_.insert(n).second) bump();
-  }
-  void clear_node_overloaded(sim::NodeId n) {
-    if (hot_nodes_.erase(n) != 0) bump();
-  }
+  // Real-time overload marks (Global Discovery).
+  void mark_node_overloaded(sim::NodeId n) { hot_nodes_.insert(n); }
+  void clear_node_overloaded(sim::NodeId n) { hot_nodes_.erase(n); }
   void mark_link_overloaded(sim::NodeId a, sim::NodeId b) {
-    if (hot_links_.insert(link_key(a, b)).second) bump();
+    hot_links_.insert(link_key(a, b));
   }
   void clear_link_overloaded(sim::NodeId a, sim::NodeId b) {
-    if (hot_links_.erase(link_key(a, b)) != 0) bump();
+    hot_links_.erase(link_key(a, b));
   }
   bool node_overloaded(sim::NodeId n) const {
     return hot_nodes_.count(n) != 0;
@@ -87,14 +75,7 @@ class Pib {
   void clear() {
     paths_.clear();
     fallbacks_.clear();
-    bump();
   }
-
-  /// Dirty stamp: bumped by every effective mutation of routes or
-  /// overload marks. Lookup caches key their entries on this — a stale
-  /// stamp means recompute, an equal stamp means the cached filter
-  /// output is still exact. Starts at 1 so 0 can mean "never filled".
-  std::uint64_t version() const { return version_; }
 
  private:
   static std::uint64_t pair_key(sim::NodeId a, sim::NodeId b) {
@@ -105,13 +86,10 @@ class Pib {
     return pair_key(a, b);
   }
 
-  void bump() { ++version_; }
-
   std::unordered_map<std::uint64_t, std::vector<overlay::Path>> paths_;
   std::unordered_map<std::uint64_t, overlay::Path> fallbacks_;
   std::unordered_set<sim::NodeId> hot_nodes_;
   std::unordered_set<std::uint64_t> hot_links_;
-  std::uint64_t version_ = 1;
 };
 
 /// Stream Information Base: stream -> producer node (hash table keyed

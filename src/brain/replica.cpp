@@ -71,8 +71,8 @@ void PathDecisionReplica::handle_path_request(
   busy_until_ = start + cfg_.request_service_time;
   const Duration response_time = busy_until_ - now;
 
-  const PathDecision::Lookup& lookup =
-      path_decision_.get_path_cached(req.stream_id, req.consumer);
+  PathDecision::Lookup lookup =
+      path_decision_.get_path(req.stream_id, req.consumer);
   metrics_.path_requests.push_back(BrainMetrics::PathRequestLog{
       now, response_time, lookup.last_resort, lookup.stream_known});
   telemetry::handles().path_requests_served->add();
@@ -80,7 +80,7 @@ void PathDecisionReplica::handle_path_request(
   auto resp = sim::make_message<overlay::PathResponse>();
   resp->request_id = req.request_id;
   resp->stream_id = req.stream_id;
-  resp->paths = lookup.paths;
+  resp->paths = std::move(lookup.paths);
   resp->last_resort = lookup.last_resort;
   net_->loop()->schedule_at(busy_until_, [this, from, resp] {
     net_->send(node_id(), from, resp);

@@ -17,7 +17,8 @@ HierNode::HierNode(sim::Network* net, overlay::OverlayMetrics* metrics,
       recovery_(net, this,
                 overlay::RecoveryEngine::Config{.receiver = {},
                                                 .telemetry = false,
-                                                .multi_supplier = false}),
+                                                .multi_supplier = false},
+                &streams_),
       session_(net, this, metrics,
                overlay::SessionConfig{
                    .client_extra_delay = 0,
@@ -34,14 +35,12 @@ HierNode::HierNode(sim::Network* net, overlay::OverlayMetrics* metrics,
   };
   session_.set_hooks(std::move(hooks));
 
-  recovery_.set_hooks(
-      [this](const RtpPacketPtr& pkt) {
-        // Hier forwards only the ordered output and serves pending
-        // viewers once content lands.
-        forward_ordered(pkt);
-        session_.flush_pending_attach(pkt->stream_id());
-      },
-      [](StreamId) { /* gap: nothing to abandon */ });
+  recovery_.set_deliver([this](const RtpPacketPtr& pkt) {
+    // Hier forwards only the ordered output and serves pending viewers
+    // once content lands.
+    forward_ordered(pkt);
+    session_.flush_pending_attach(pkt->stream_id());
+  });
 }
 
 HierNode::~HierNode() {
@@ -120,7 +119,7 @@ void HierNode::on_message(NodeId from, const sim::MessagePtr& msg) {
 
 void HierNode::handle_rtp(NodeId from, const RtpPacketPtr& pkt_in) {
   RtpPacketPtr pkt = pkt_in;
-  const overlay::StreamFib::Entry* entry = streams_.find(pkt->stream_id());
+  const overlay::FibEntry* entry = streams_.find(pkt->stream_id());
   if (pkt->cdn_ingress_time == kNever && entry != nullptr &&
       entry->locally_produced) {
     auto stamped = pkt_in->fork();
@@ -152,7 +151,7 @@ void HierNode::forward_ordered(const RtpPacketPtr& pkt) {
   // 3 = distribution at L2; 4 = distribution at the viewer-side L1.
   net_->loop()->schedule_after(hop_processing_delay(), [this,
                                                         pkt] {
-    const overlay::StreamFib::Entry* e = streams_.find(pkt->stream_id());
+    const overlay::FibEntry* e = streams_.find(pkt->stream_id());
     if (e == nullptr) return;
     const Time now = net_->loop()->now();
 
@@ -286,7 +285,7 @@ void HierNode::handle_map_response(const MapResponse& resp) {
   if (resp.l2 == sim::kNoNode) return;
   streams_.context(stream).upstream_sub = resp.l2;
 
-  const overlay::StreamFib::Entry* entry = streams_.find(stream);
+  const overlay::FibEntry* entry = streams_.find(stream);
   if (entry != nullptr && entry->locally_produced) {
     // Upload mapping: data starts flowing on the next ordered packet.
     return;
@@ -322,7 +321,7 @@ void HierNode::handle_unsubscribe(NodeId from, const HierUnsubscribe& req) {
 }
 
 void HierNode::maybe_release_stream(StreamId stream) {
-  const overlay::StreamFib::Entry* entry = streams_.find(stream);
+  const overlay::FibEntry* entry = streams_.find(stream);
   if (entry == nullptr || entry->locally_produced) return;
   if (entry->has_subscribers()) return;
   if (cfg_.role == HierRole::kCenter) return;  // the center keeps streams
@@ -332,7 +331,7 @@ void HierNode::maybe_release_stream(StreamId stream) {
       cfg_.unsubscribe_linger, [this, stream] {
         StreamContext* c = streams_.find_context(stream);
         if (c != nullptr) c->linger_timer = sim::kInvalidEvent;
-        const overlay::StreamFib::Entry* e = streams_.find(stream);
+        const overlay::FibEntry* e = streams_.find(stream);
         if (e == nullptr || e->locally_produced || e->has_subscribers()) {
           return;
         }
@@ -362,7 +361,7 @@ void HierNode::release_stream(StreamId stream) {
 // ---------------------------------------------------------------- plumbing
 
 bool HierNode::carries_stream(StreamId s) const {
-  const overlay::StreamFib::Entry* e = streams_.find(s);
+  const overlay::FibEntry* e = streams_.find(s);
   if (e != nullptr && e->locally_produced) return true;
   // A FIB entry only appears once the first subscriber attaches; what
   // matters here is the live upstream subscription plus cached content.

@@ -101,17 +101,6 @@ std::map<int, BoxStats> delay_by_path_length(const ScenarioResult& r) {
   return out;
 }
 
-std::vector<std::pair<int, Samples>> by_hour(
-    const std::vector<std::pair<Time, double>>& samples,
-    Duration day_length) {
-  std::map<int, Samples> grouped;
-  for (const auto& [t, v] : samples) {
-    const int hour = static_cast<int>((t % day_length) * 24 / day_length);
-    grouped[hour].add(v);
-  }
-  return {grouped.begin(), grouped.end()};
-}
-
 FaultSummary fault_summary(const ScenarioResult& r) {
   FaultSummary out;
   Samples recovery;

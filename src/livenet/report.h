@@ -53,14 +53,6 @@ void split_by_locality(
 /// Boxplot of CDN path delay grouped by observed path length (Fig 11).
 std::map<int, BoxStats> delay_by_path_length(const ScenarioResult& r);
 
-/// Hourly series helpers (Figs 10, 13): aggregates by compressed hour.
-struct HourlyStat {
-  double hour = 0.0;
-  Samples values;
-};
-std::vector<std::pair<int, Samples>> by_hour(
-    const std::vector<std::pair<Time, double>>& samples, Duration day_length);
-
 /// Welch t-statistic between the per-view streaming delays of two runs
 /// (the paper's significance check; |t| > 3.3 ~ p < 0.001).
 double streaming_delay_t_statistic(const ScenarioResult& a,

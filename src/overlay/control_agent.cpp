@@ -35,7 +35,7 @@ bool ControlAgent::paths_fresh(const StreamContext& ctx) const {
 }
 
 bool ControlAgent::carries_stream(StreamId s) const {
-  const StreamFib::Entry* e = table_->find(s);
+  const FibEntry* e = table_->find(s);
   if (e == nullptr) return false;
   if (e->locally_produced) return true;
   return e->upstream != sim::kNoNode && recovery_->cache().has_content(s);
@@ -56,7 +56,7 @@ void ControlAgent::remove_supplier(StreamContext& st, NodeId n) {
 
 // ---------------------------------------------------- SVC mask aggregation
 
-LayerMask ControlAgent::downstream_aggregate(const StreamFib::Entry& e) const {
+LayerMask ControlAgent::downstream_aggregate(const FibEntry& e) const {
   // Standby (RTX-only) downstreams are served from the local cache and
   // may NACK any layer; their presence pins the aggregate wide open.
   // So does an empty edge — release handles the no-subscriber case.
@@ -77,7 +77,7 @@ LayerMask ControlAgent::downstream_aggregate(const StreamFib::Entry& e) const {
 }
 
 void ControlAgent::update_upstream_mask(StreamId stream) {
-  const StreamFib::Entry* e = table_->find(stream);
+  const FibEntry* e = table_->find(stream);
   if (e == nullptr || e->locally_produced || e->upstream == sim::kNoNode) {
     return;
   }
@@ -129,7 +129,7 @@ void ControlAgent::handle_publish(NodeId client, const PublishRequest& req) {
 
 void ControlAgent::handle_publish_stop(NodeId client, const PublishStop& msg) {
   (void)client;
-  const StreamFib::Entry* entry = table_->find(msg.stream_id);
+  const FibEntry* entry = table_->find(msg.stream_id);
   if (entry == nullptr || !entry->locally_produced) return;
   if (env_->brain != sim::kNoNode) {
     auto reg = sim::make_message<StreamRegister>();
@@ -169,7 +169,7 @@ void ControlAgent::handle_switch_notice(NodeId from,
     }
   }
   // Only consumers with viewers on the old stream act on it.
-  const StreamFib::Entry* entry = table_->find(msg.from_stream);
+  const FibEntry* entry = table_->find(msg.from_stream);
   if (entry == nullptr || entry->subscriber_clients.empty()) return;
   table_->context(msg.to_stream).costream_from = msg.from_stream;
 
@@ -252,7 +252,7 @@ bool ControlAgent::stream_still_wanted(StreamId stream) const {
        ctx->costream_from != media::kNoStream)) {
     return true;
   }
-  const StreamFib::Entry* e = table_->find(stream);
+  const FibEntry* e = table_->find(stream);
   return e != nullptr && !e->locally_produced && e->has_subscribers() &&
          e->upstream == sim::kNoNode;
 }
@@ -494,7 +494,7 @@ void ControlAgent::handle_subscribe_ack(NodeId from, const SubscribeAck& ack) {
 
 void ControlAgent::establish_standbys(StreamId stream) {
   StreamContext* stp = table_->find_context(stream);
-  const StreamFib::Entry* entry = table_->find(stream);
+  const FibEntry* entry = table_->find(stream);
   if (stp == nullptr || entry == nullptr || entry->locally_produced) return;
   auto& st = *stp;
 
@@ -537,7 +537,7 @@ void ControlAgent::handle_unsubscribe(NodeId from,
 // ---------------------------------------------------------- stream release
 
 void ControlAgent::maybe_release_stream(StreamId stream) {
-  const StreamFib::Entry* entry = table_->find(stream);
+  const FibEntry* entry = table_->find(stream);
   if (entry == nullptr || entry->locally_produced) return;
   if (entry->has_subscribers()) return;
 
@@ -547,7 +547,7 @@ void ControlAgent::maybe_release_stream(StreamId stream) {
       cfg_->unsubscribe_linger, [this, stream] {
         StreamContext* ctx = table_->find_context(stream);
         if (ctx != nullptr) ctx->linger_timer = sim::kInvalidEvent;
-        const StreamFib::Entry* e = table_->find(stream);
+        const FibEntry* e = table_->find(stream);
         if (e == nullptr || e->locally_produced || e->has_subscribers()) {
           return;  // a subscriber came back during the linger window
         }
@@ -559,7 +559,7 @@ void ControlAgent::release_stream(StreamId stream) {
   // Unsubscribe from every supplier: the primary upstream first, then
   // standby (RTX-only) upstreams and half-established standbys. With
   // multi-supplier off this is exactly the old single-upstream unsub.
-  const StreamFib::Entry* entry = table_->find(stream);
+  const FibEntry* entry = table_->find(stream);
   std::vector<NodeId> ups;
   if (entry != nullptr && entry->upstream != sim::kNoNode) {
     ups.push_back(entry->upstream);
@@ -580,6 +580,7 @@ void ControlAgent::release_stream(StreamId stream) {
   }
   senders_->forget_stream(stream);
   recovery_->cache().forget_stream(stream);
+  forwarding_->forget_stream(stream);
   // Sweep the in-flight path lookup too: a released stream must not be
   // resurrected by a late response, and the lookup's retry timer has to
   // find nothing and die. (The old split-map code leaked both, keeping
@@ -603,7 +604,7 @@ void ControlAgent::switch_path(StreamId stream) {
   StreamContext* stp = table_->find_context(stream);
   if (stp == nullptr) return;
   auto& st = *stp;
-  const StreamFib::Entry* entry = table_->find(stream);
+  const FibEntry* entry = table_->find(stream);
   if (entry == nullptr || entry->locally_produced) return;
 
   // Hysteresis: switching tears the stream down and back up; never flap
@@ -632,7 +633,7 @@ void ControlAgent::switch_path(StreamId stream) {
       if (old_upstream != sim::kNoNode) {
         env_->net->loop()->schedule_after(
             3 * kSec, [this, stream, old_upstream] {
-              const StreamFib::Entry* e = table_->find(stream);
+              const FibEntry* e = table_->find(stream);
               if (e == nullptr || e->upstream == old_upstream) return;
               auto unsub = sim::make_message<UnsubscribeRequest>();
               unsub->stream_id = stream;

@@ -99,7 +99,7 @@ class ControlAgent {
   static constexpr Duration kPathRequestTimeout = 2 * kSec;
 
   /// OR of the SVC layer masks the stream's downstream edge wants.
-  media::LayerMask downstream_aggregate(const StreamFib::Entry& e) const;
+  media::LayerMask downstream_aggregate(const FibEntry& e) const;
   bool try_establish(media::StreamId stream);
   /// Subscribes over `path`. The previous (different) upstream is swept
   /// from the supplier set unless `keep_prev_supplier` — the

@@ -16,7 +16,7 @@ using sim::NodeId;
 void ForwardingEngine::fast_forward(NodeId from, const RtpPacketPtr& pkt,
                                     const StreamContext* ctx) {
   if (ctx == nullptr || !ctx->fib_active) return;
-  const StreamFib::Entry& entry = ctx->fib;
+  const FibEntry& entry = ctx->fib;
   // During a make-before-break path switch both upstreams deliver for a
   // grace period; only the current upstream's copies are forwarded (the
   // other still feeds the slow path for caching and recovery).
@@ -29,38 +29,24 @@ void ForwardingEngine::fast_forward(NodeId from, const RtpPacketPtr& pkt,
   }
 
   // Snapshot targets now; fan out after the fast-path processing delay.
-  // A burst of packets landing at the same instant shares one deferred
-  // event: appending to the open batch is exact iff the loop's seq
-  // cursor has not moved since the batch event was scheduled — then the
-  // per-packet events the old code would have created were guaranteed
-  // to dispatch back to back anyway.
   sim::EventLoop* loop = env_->net->loop();
-  std::uint32_t slot = open_batch_;
-  if (slot == kNoBatch || open_time_ != loop->now() ||
-      open_seq_ != loop->seq_cursor()) {
-    slot = acquire_batch();
-    loop->schedule_after(kFastProcDelay,
-                         [this, slot] { flush_batch(slot); });
-    open_batch_ = slot;
-    open_time_ = loop->now();
-    open_seq_ = loop->seq_cursor();  // after scheduling: counts our event
-  }
-  Batch& b = *pool_[slot];
-  std::uint32_t prev_begin = kNoBatch;
+  const std::uint32_t slot = acquire_slot();
+  Fanout& f = pool_[slot];
+  f.pkt = pkt;
+  f.from = from;
   if (entry.any_layer_filter()) {
-    // SVC filter: decided here, at append time, so a filtered target is
-    // never forked at all — the zero-copy fast path stays zero-copy.
-    // Masked-link seq history also advances here because appends (not
-    // flushes) see packets in arrival order.
-    prev_begin = static_cast<std::uint32_t>(b.prevs.size());
+    // SVC filter: decided here, at snapshot time, so a filtered target
+    // is never forked at all — the zero-copy fast path stays zero-copy.
+    // Masked-link seq history also advances here because snapshots (not
+    // deferred fan-outs) see packets in arrival order.
     const media::LayerMask bit = pkt->layer_mask_bit();
     const media::Seq s = pkt->producer_seq();
     for (const NodeId n : entry.subscriber_nodes) {
       const media::LayerMask mask =
           n == from ? media::kAllLayers : entry.node_mask(n);
       if (mask == media::kAllLayers) {  // dense link (or echo: flush skips)
-        b.nodes.push_back(n);
-        b.prevs.push_back(0);
+        f.nodes.push_back(n);
+        f.prevs.push_back(0);
         continue;
       }
       LinkSeqState& ls = link_seq_[{pkt->stream_id(), n}];
@@ -84,8 +70,8 @@ void ForwardingEngine::fast_forward(NodeId from, const RtpPacketPtr& pkt,
           ls.last_seen = s;
           ls.clean = true;
         }
-        b.nodes.push_back(n);
-        b.prevs.push_back(prev);
+        f.nodes.push_back(n);
+        f.prevs.push_back(prev);
       } else {
         if (in_order) {
           if (ls.last_seen != 0 && s != ls.last_seen + 1 && !gap_vouched) {
@@ -93,8 +79,8 @@ void ForwardingEngine::fast_forward(NodeId from, const RtpPacketPtr& pkt,
           }
           ls.last_seen = s;
         }
-        b.nodes.push_back(n);
-        b.prevs.push_back(kSkipEntry);
+        f.nodes.push_back(n);
+        f.prevs.push_back(kSkipEntry);
         telemetry::handles().layer_filtered->add();
         telemetry::record_hop(pkt->trace_id(), loop->now(), pkt->stream_id(),
                               s, env_->self(), n, telemetry::HopEvent::kDrop,
@@ -102,12 +88,12 @@ void ForwardingEngine::fast_forward(NodeId from, const RtpPacketPtr& pkt,
       }
     }
   } else {
-    for (const NodeId n : entry.subscriber_nodes) b.nodes.push_back(n);
+    f.nodes.assign(entry.subscriber_nodes.begin(),
+                   entry.subscriber_nodes.end());
   }
-  for (const ClientId c : entry.subscriber_clients) b.clients.push_back(c);
-  b.rows.push_back(Row{pkt, from, static_cast<std::uint32_t>(b.nodes.size()),
-                       static_cast<std::uint32_t>(b.clients.size()),
-                       prev_begin});
+  f.clients.assign(entry.subscriber_clients.begin(),
+                   entry.subscriber_clients.end());
+  loop->schedule_after(kFastProcDelay, [this, slot] { flush(slot); });
 }
 
 void ForwardingEngine::feed_fec(const RtpPacketPtr& pkt, NodeId n, Time now) {
@@ -166,9 +152,16 @@ void ForwardingEngine::forget_stream(media::StreamId stream) {
   }
 }
 
-std::uint32_t ForwardingEngine::acquire_batch() {
+std::size_t ForwardingEngine::link_states(media::StreamId stream) const {
+  std::size_t n = 0;
+  for (const auto& [key, st] : fec_links_) n += key.first == stream;
+  for (const auto& [key, st] : link_seq_) n += key.first == stream;
+  return n;
+}
+
+std::uint32_t ForwardingEngine::acquire_slot() {
   if (free_slots_.empty()) {
-    pool_.push_back(std::make_unique<Batch>());
+    pool_.emplace_back();
     return static_cast<std::uint32_t>(pool_.size() - 1);
   }
   const std::uint32_t slot = free_slots_.back();
@@ -176,62 +169,51 @@ std::uint32_t ForwardingEngine::acquire_batch() {
   return slot;
 }
 
-void ForwardingEngine::flush_batch(std::uint32_t slot) {
-  // Close the batch first so a packet arriving from our own sends
-  // cannot append to a slot being drained.
-  if (open_batch_ == slot) open_batch_ = kNoBatch;
-  Batch& b = *pool_[slot];
+void ForwardingEngine::flush(std::uint32_t slot) {
+  Fanout& f = pool_[slot];
+  const RtpPacketPtr& pkt = f.pkt;
   const Time now = env_->net->loop()->now();
-  ++batch_flushes_;
   std::uint64_t forwards = 0;
-  std::uint32_t node_begin = 0;
-  std::uint32_t client_begin = 0;
-  for (const Row& row : b.rows) {
-    const RtpPacketPtr& pkt = row.pkt;
-    for (std::uint32_t i = node_begin; i < row.node_end; ++i) {
-      const NodeId n = b.nodes[i];
-      media::Seq prev = 0;
-      if (row.prev_begin != kNoBatch) {  // stream had a layer filter
-        prev = b.prevs[row.prev_begin + (i - node_begin)];
-        if (prev == kSkipEntry) {
-          // Filtered at append time: no fork, no send — only the FEC
-          // group on the link learns the seq is intentionally absent.
-          if ((cfg_->fec_rate > 0.0 || cfg_->fec_adaptive) &&
-              !pkt->is_audio()) {
-            feed_fec_skip(pkt, n);
-          }
-          continue;
+  for (std::size_t i = 0; i < f.nodes.size(); ++i) {
+    const NodeId n = f.nodes[i];
+    media::Seq prev = 0;
+    if (!f.prevs.empty()) {  // stream had a layer filter
+      prev = f.prevs[i];
+      if (prev == kSkipEntry) {
+        // Filtered at snapshot time: no fork, no send — only the FEC
+        // group on the link learns the seq is intentionally absent.
+        if ((cfg_->fec_rate > 0.0 || cfg_->fec_adaptive) &&
+            !pkt->is_audio()) {
+          feed_fec_skip(pkt, n);
         }
-      }
-      if (n == row.from) continue;  // never echo upstream
-      auto clone = pkt->fork();
-      clone->prev_link_seq = prev;
-      clone->delay_ext_us +=
-          kFastProcDelay + half_rtt_between(env_->net, env_->self(), n);
-      clone->cdn_hops = static_cast<std::uint8_t>(pkt->cdn_hops + 1);
-      egress_meter_.add(now, clone->wire_size());
-      ++forwards;
-      telemetry::record_hop(pkt->trace_id(), now, pkt->stream_id(),
-                            pkt->producer_seq(), env_->self(), n,
-                            telemetry::HopEvent::kForward);
-      senders_->sender_for(n).send_media(std::move(clone));
-      if ((cfg_->fec_rate > 0.0 || cfg_->fec_adaptive) && !pkt->is_audio()) {
-        feed_fec(pkt, n, now);
+        continue;
       }
     }
-    for (std::uint32_t i = client_begin; i < row.client_end; ++i) {
-      session_->deliver_to_client(static_cast<NodeId>(b.clients[i]), pkt);
+    if (n == f.from) continue;  // never echo upstream
+    auto clone = pkt->fork();
+    clone->prev_link_seq = prev;
+    clone->delay_ext_us +=
+        kFastProcDelay + half_rtt_between(env_->net, env_->self(), n);
+    clone->cdn_hops = static_cast<std::uint8_t>(pkt->cdn_hops + 1);
+    egress_meter_.add(now, clone->wire_size());
+    ++forwards;
+    telemetry::record_hop(pkt->trace_id(), now, pkt->stream_id(),
+                          pkt->producer_seq(), env_->self(), n,
+                          telemetry::HopEvent::kForward);
+    senders_->sender_for(n).send_media(std::move(clone));
+    if ((cfg_->fec_rate > 0.0 || cfg_->fec_adaptive) && !pkt->is_audio()) {
+      feed_fec(pkt, n, now);
     }
-    node_begin = row.node_end;
-    client_begin = row.client_end;
   }
-  // One registry update per burst, not per clone.
+  for (const ClientId c : f.clients) {
+    session_->deliver_to_client(static_cast<NodeId>(c), pkt);
+  }
   fast_forwards_ += forwards;
   if (forwards != 0) telemetry::handles().fast_forwards->add(forwards);
-  b.rows.clear();
-  b.nodes.clear();
-  b.clients.clear();
-  b.prevs.clear();
+  f.pkt = nullptr;
+  f.nodes.clear();
+  f.clients.clear();
+  f.prevs.clear();
   free_slots_.push_back(slot);
 }
 

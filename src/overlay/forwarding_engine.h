@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -20,18 +20,14 @@
 //
 // The FIB probe happens *before* this engine runs: the façade resolves
 // the packet's StreamContext once per packet and passes it in, so the
-// whole per-packet path costs a single hash lookup (the old monolith
-// paid a second one inside its forwarding step).
+// whole per-packet path costs a single hash lookup.
 //
-// Deferred fan-out is batched. Each fast_forward snapshots its targets
-// into a reusable SoA scratch batch (flat NodeId/ClientId arrays plus
-// per-packet row extents — no per-packet vector allocations) and the
-// scheduled callback captures only {engine, slot}, small enough for the
-// event loop's inline storage. Consecutive packets at the same instant
-// share one deferred event when the loop's seq cursor proves nothing
-// was scheduled in between (so per-packet events could not have
-// interleaved with anything); the shared callback then flushes the
-// batch's telemetry counters once.
+// Each forwarded packet gets its own deferred event. fast_forward
+// snapshots the packet's targets (subscriber sets may change before
+// the event runs) into a slot from a reusable pool, and the callback
+// captures only {engine, slot}, small enough for the event loop's
+// inline storage. Slots and their vectors are recycled, so a warm
+// engine allocates nothing per packet.
 namespace livenet::overlay {
 
 struct OverlayNodeConfig;
@@ -64,42 +60,35 @@ class ForwardingEngine {
   std::uint64_t fast_forwards() const { return fast_forwards_; }
   std::uint64_t fec_parity_sent() const { return fec_parity_sent_; }
 
-  /// Stream teardown / crash: drop per-(stream, link) FEC group state.
+  /// Stream teardown: drop the stream's per-(stream, link) FEC group
+  /// and masked-link seq state.
   void forget_stream(media::StreamId stream);
-  void reset_fec() { fec_links_.clear(); }
+  /// Crash: all per-(stream, link) state dies with the process.
+  void reset() {
+    fec_links_.clear();
+    link_seq_.clear();
+  }
 
-  /// Deferred fan-out callbacks actually scheduled (>= 1 packet each;
-  /// the gap to the packet count is the event-fusion win).
-  std::uint64_t batch_flushes() const { return batch_flushes_; }
+  /// Per-(stream, link) FEC and masked-link seq entries held for
+  /// `stream` (teardown tests).
+  std::size_t link_states(media::StreamId stream) const;
 
  private:
-  static constexpr std::uint32_t kNoBatch = 0xFFFFFFFFu;
-
-  /// Marks a filtered node entry inside a masked row's prevs span: the
+  /// Marks a filtered node entry in a masked snapshot's prevs: the
   /// packet is NOT forked for that link (only the FEC group advances).
   static constexpr media::Seq kSkipEntry = static_cast<media::Seq>(-1);
 
-  /// One packet's snapshot: target extents into the batch's flat
-  /// arrays. Subscriber sets are copied out at fast_forward time (they
-  /// may mutate before the deferred callback runs), `from` rides along
-  /// for the echo-suppression check at flush time.
-  struct Row {
+  /// One packet's deferred fan-out. Subscriber sets are copied out at
+  /// fast_forward time (they may mutate before the deferred callback
+  /// runs); `from` rides along for the echo-suppression check.
+  struct Fanout {
     media::RtpPacketPtr pkt;
-    sim::NodeId from;
-    std::uint32_t node_end;    ///< exclusive end in Batch::nodes
-    std::uint32_t client_end;  ///< exclusive end in Batch::clients
-    /// Start of this row's span in Batch::prevs when the stream had a
-    /// layer filter at append time; kNoBatch for the common unmasked
-    /// row (whose flush loop stays byte-for-byte the old one).
-    std::uint32_t prev_begin = kNoBatch;
-  };
-  struct Batch {
-    std::vector<Row> rows;
+    sim::NodeId from = sim::kNoNode;
     std::vector<sim::NodeId> nodes;
     std::vector<ClientId> clients;
-    /// Masked rows only, aligned with their node span: prev_link_seq
-    /// to stamp on the fork (0 = dense) or kSkipEntry for a filtered
-    /// target.
+    /// Only when the stream had a layer filter at snapshot time, aligned
+    /// with `nodes`: prev_link_seq to stamp on the fork (0 = dense) or
+    /// kSkipEntry for a filtered target. Empty for the unmasked world.
     std::vector<media::Seq> prevs;
   };
 
@@ -118,8 +107,8 @@ class ForwardingEngine {
   /// this fraction of the link's current pacing rate.
   static constexpr double kFecBudgetFraction = 0.05;
 
-  std::uint32_t acquire_batch();
-  void flush_batch(std::uint32_t slot);
+  std::uint32_t acquire_slot();
+  void flush(std::uint32_t slot);
   void feed_fec(const media::RtpPacketPtr& pkt, sim::NodeId n, Time now);
   void feed_fec_skip(const media::RtpPacketPtr& pkt, sim::NodeId n);
 
@@ -138,23 +127,16 @@ class ForwardingEngine {
   SessionLayer* session_ = nullptr;
   transport::RateMeter egress_meter_{1 * kSec};
   std::uint64_t fast_forwards_ = 0;
-  std::uint64_t batch_flushes_ = 0;
   std::uint64_t fec_parity_sent_ = 0;
   std::map<std::pair<media::StreamId, sim::NodeId>, FecLinkState> fec_links_;
   /// Only populated for (stream, node) links with a layer mask — the
   /// unmasked world never probes it.
   std::map<std::pair<media::StreamId, sim::NodeId>, LinkSeqState> link_seq_;
 
-  /// Batch slot arena (unique_ptr: slots must stay address-stable while
-  /// pool_ grows; scratch vectors inside are reused across flushes).
-  std::vector<std::unique_ptr<Batch>> pool_;
+  /// Snapshot slots of the pending fan-out events (deque: a slot stays
+  /// address-stable while the pool grows; its vectors are reused).
+  std::deque<Fanout> pool_;
   std::vector<std::uint32_t> free_slots_;
-  /// The still-appendable batch: valid while the loop is at open_time_
-  /// and its seq cursor still reads open_seq_ (nothing scheduled since
-  /// the batch's event — appending is provably order-exact).
-  std::uint32_t open_batch_ = kNoBatch;
-  Time open_time_ = 0;
-  std::uint64_t open_seq_ = 0;
 };
 
 }  // namespace livenet::overlay

@@ -20,7 +20,8 @@ OverlayNode::OverlayNode(sim::Network* net, OverlayMetrics* metrics,
                 RecoveryEngine::Config{
                     .receiver = cfg_.receiver,
                     .telemetry = true,
-                    .multi_supplier = cfg_.multi_supplier_rtx}),
+                    .multi_supplier = cfg_.multi_supplier_rtx},
+                &streams_),
       forwarding_(&cfg_, &env_, &senders_),
       session_(net, this, metrics,
                SessionConfig{.client_extra_delay = kFastProcDelay,
@@ -55,14 +56,8 @@ void OverlayNode::wire_engines() {
   };
   session_.set_hooks(std::move(hooks));
 
-  recovery_.set_hooks(
-      [this](const RtpPacketPtr& pkt) { on_slow_path_delivery(pkt); },
-      [](StreamId) {});
-  recovery_.set_supplier_source(
-      [this](StreamId s) -> const std::vector<NodeId>* {
-        const StreamContext* ctx = streams_.find_context(s);
-        return ctx != nullptr ? &ctx->suppliers : nullptr;
-      });
+  recovery_.set_deliver(
+      [this](const RtpPacketPtr& pkt) { on_slow_path_delivery(pkt); });
 }
 
 OverlayNode::~OverlayNode() {
@@ -94,7 +89,7 @@ void OverlayNode::crash() {
   // totals did before.)
   streams_.clear();
   recovery_.reset();
-  forwarding_.reset_fec();
+  forwarding_.reset();
   senders_.clear();
   session_.clear();
 }
@@ -116,7 +111,7 @@ void OverlayNode::on_message(NodeId from, const sim::MessagePtr& msg) {
     // Only for overlay peers: client-facing flows use rewritten seq
     // numbers that do not index the cache.
     if (!nack->audio && env_.peer_set.count(from) != 0) {
-      const StreamFib::Entry* e = streams_.find(nack->stream_id);
+      const FibEntry* e = streams_.find(nack->stream_id);
       recovery_.serve_nack_fallback(
           snd, from, nack->stream_id, unserved,
           e != nullptr ? e->node_mask(from) : media::kAllLayers);

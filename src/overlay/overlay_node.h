@@ -123,6 +123,10 @@ class OverlayNode final : public sim::SimNode {
   std::uint64_t fast_path_forwards() const {
     return forwarding_.fast_forwards();
   }
+  /// Per-(stream, link) fast-path state held for `s` (teardown tests).
+  std::size_t forwarding_link_states(media::StreamId s) const {
+    return forwarding_.link_states(s);
+  }
   std::uint64_t view_requests() const { return session_.view_requests(); }
   const PacketGopCache& packet_cache() const { return recovery_.cache(); }
   const OverlayNodeConfig& config() const { return cfg_; }

@@ -17,7 +17,7 @@ LinkReceiver& RecoveryEngine::receiver_for(sim::NodeId peer) {
     it = receivers_
              .emplace(peer, std::make_unique<LinkReceiver>(
                                 net_, owner_->node_id(), peer, deliver_,
-                                gap_, rc))
+                                [](media::StreamId) {}, rc))
              .first;
     if (cfg_.multi_supplier) {
       LinkReceiver* rx = it->second.get();
@@ -70,15 +70,14 @@ void RecoveryEngine::send_nack_to(sim::NodeId target, sim::NodeId primary,
 void RecoveryEngine::route_nack(sim::NodeId primary, media::StreamId stream,
                                 bool audio,
                                 const std::vector<media::Seq>& missing) {
-  const std::vector<sim::NodeId>* sup =
-      suppliers_ ? suppliers_(stream) : nullptr;
-  if (!cfg_.multi_supplier || sup == nullptr || sup->size() < 2) {
+  const StreamContext* ctx = streams_->find_context(stream);
+  if (!cfg_.multi_supplier || ctx == nullptr || ctx->suppliers.size() < 2) {
     send_nack_to(primary, primary, stream, audio, missing);
     return;
   }
   // Race to the lowest-RTT supplier; remember the runner-up for the
   // staggered escalation.
-  std::vector<sim::NodeId> order(*sup);
+  std::vector<sim::NodeId> order(ctx->suppliers);
   std::sort(order.begin(), order.end(),
             [this](sim::NodeId a, sim::NodeId b) {
               const Duration ra = rtt_to(a), rb = rtt_to(b);

@@ -10,6 +10,7 @@
 #include "overlay/link_receiver.h"
 #include "overlay/link_sender.h"
 #include "overlay/packet_cache.h"
+#include "overlay/stream_context.h"
 #include "sim/network.h"
 #include "sim/sim_node.h"
 #include "util/hash_seed.h"
@@ -36,25 +37,20 @@ class RecoveryEngine {
     bool multi_supplier = false;
   };
 
+  /// `streams` is the node's stream table: multi-supplier NACK routing
+  /// reads each stream's established suppliers from its context (the
+  /// control agent keeps them current).
   RecoveryEngine(sim::Network* net, const sim::SimNode* owner,
-                 const Config& cfg)
-      : net_(net), owner_(owner), cfg_(cfg) {}
+                 const Config& cfg, const StreamTable* streams)
+      : net_(net), owner_(owner), cfg_(cfg), streams_(streams) {}
 
   ~RecoveryEngine() { cancel_staggers(); }
 
-  /// Ordered-delivery and gap upcalls shared by every receiver the
-  /// engine creates. Set once at wiring time, before any RTP arrives.
-  void set_hooks(LinkReceiver::DeliverFn deliver, LinkReceiver::GapFn gap) {
+  /// Ordered-delivery upcall shared by every receiver the engine
+  /// creates. Set once at wiring time, before any RTP arrives.
+  void set_deliver(LinkReceiver::DeliverFn deliver) {
     deliver_ = std::move(deliver);
-    gap_ = std::move(gap);
   }
-
-  /// Supplier lookup for multi-supplier NACK routing: returns the
-  /// established upstreams of a stream (nullptr / empty = single
-  /// upstream, no racing). Fed by the control agent's StreamContext.
-  using SupplierFn =
-      std::function<const std::vector<sim::NodeId>*(media::StreamId)>;
-  void set_supplier_source(SupplierFn fn) { suppliers_ = std::move(fn); }
 
   /// Slow-path ingress: a copy of every received packet enters the
   /// per-upstream receive pipeline. A retransmission served by an
@@ -165,9 +161,8 @@ class RecoveryEngine {
   sim::Network* net_;
   const sim::SimNode* owner_;
   Config cfg_;
+  const StreamTable* streams_;
   LinkReceiver::DeliverFn deliver_;
-  LinkReceiver::GapFn gap_;
-  SupplierFn suppliers_;
   PacketGopCache packet_cache_;
   std::unordered_map<sim::NodeId, std::unique_ptr<LinkReceiver>,
                      SeededHash<sim::NodeId>>

@@ -22,16 +22,6 @@ LayerMask sanitize_mask(LayerMask mask) {
 
 }  // namespace
 
-const std::vector<StreamId>* SessionLayer::intern_ladder(
-    std::vector<StreamId> ladder) {
-  auto it = ladder_table_.find(ladder);
-  if (it == ladder_table_.end()) {
-    auto copy = std::make_unique<const std::vector<StreamId>>(ladder);
-    it = ladder_table_.emplace(std::move(ladder), std::move(copy)).first;
-  }
-  return it->second.get();
-}
-
 void SessionLayer::handle_view_request(NodeId client, const ViewRequest& req) {
   ++view_requests_;
   ViewSession& session = metrics_->new_session();
@@ -45,12 +35,9 @@ void SessionLayer::handle_view_request(NodeId client, const ViewRequest& req) {
     // ladder survives a deferred (pending) attach.
     auto& view = views_[client];
     view.stream = req.stream_id;
-    std::vector<StreamId> ladder;
-    ladder.reserve(1 + req.fallback_versions.size());
-    ladder.push_back(req.stream_id);
-    ladder.insert(ladder.end(), req.fallback_versions.begin(),
-                  req.fallback_versions.end());
-    view.ladder = intern_ladder(std::move(ladder));
+    view.ladder.assign(1, req.stream_id);
+    view.ladder.insert(view.ladder.end(), req.fallback_versions.begin(),
+                       req.fallback_versions.end());
     view.ladder_pos = 0;
     view.pressure_count = 0;
     view.layer_mask = sanitize_mask(req.layer_mask);
@@ -116,7 +103,7 @@ void SessionLayer::serve_startup_burst(NodeId client, ClientViewState& view) {
   // already received but blocked behind a recovery hole join the burst
   // (the client's jitter buffer tolerates the remaining holes, which
   // upstream retransmission fills via the fast path).
-  const StreamFib::Entry* entry = table_->find(view.stream);
+  const FibEntry* entry = table_->find(view.stream);
   if (entry != nullptr && entry->upstream != sim::kNoNode) {
     for (auto& pkt : recovery_->buffered_packets(entry->upstream,
                                                  view.stream)) {
@@ -370,7 +357,7 @@ void SessionLayer::maybe_flip_costream(StreamId new_stream) {
   ctx->costream_from = media::kNoStream;
 
   std::vector<NodeId> to_flip;
-  const StreamFib::Entry* old_entry = table_->find(old_stream);
+  const FibEntry* old_entry = table_->find(old_stream);
   if (old_entry != nullptr) {
     to_flip.assign(old_entry->subscriber_clients.begin(),
                    old_entry->subscriber_clients.end());
@@ -467,11 +454,11 @@ void SessionLayer::send_to_client(NodeId client, ClientViewState& view,
     if (++view.pressure_count >
         static_cast<int>(kDowngradePressurePackets)) {
       view.pressure_count = 0;
-      if (!narrow_mask_step(client, view) && view.ladder != nullptr &&
-          view.ladder_pos + 1 < view.ladder->size()) {
+      if (!narrow_mask_step(client, view) &&
+          view.ladder_pos + 1 < view.ladder.size()) {
         ++view.ladder_pos;
         if (view.session != nullptr) ++view.session->bitrate_downgrades;
-        switch_client_stream(client, (*view.ladder)[view.ladder_pos]);
+        switch_client_stream(client, view.ladder[view.ladder_pos]);
         return;
       }
     }

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -43,10 +41,8 @@ struct ClientViewState {
   std::uint32_t stalls_in_window = 0;
   int bad_quality_windows = 0;  ///< consecutive poor quality reports
   std::uint64_t dropper_total_at_report = 0;  ///< for skip discounting
-  /// Simulcast versions, best first. Points into the session layer's
-  /// interned ladder table: every viewer of the same broadcast shares
-  /// one immutable copy instead of carrying its own vector.
-  const std::vector<media::StreamId>* ladder = nullptr;
+  /// Simulcast versions, best first.
+  std::vector<media::StreamId> ladder;
   std::size_t ladder_pos = 0;
   int pressure_count = 0;  ///< consecutive under-pressure packets
 
@@ -191,9 +187,6 @@ class SessionLayer {
 
   std::uint64_t view_requests() const { return view_requests_; }
 
-  /// Distinct simulcast ladders interned so far (telemetry/tests).
-  std::size_t interned_ladders() const { return ladder_table_.size(); }
-
   /// Crash: drops all per-client state (the request counter survives,
   /// as node counters did before).
   void clear() { views_.clear(); }
@@ -203,11 +196,6 @@ class SessionLayer {
   static constexpr std::uint32_t kSwitchSkipThreshold = 8;  ///< gaps/report
   /// Under-pressure packets before a downgrade (~1.5 s of video).
   static constexpr std::uint32_t kDowngradePressurePackets = 150;
-
-  /// Returns the shared immutable copy of `ladder`, creating it on
-  /// first sight. Pointers stay valid for the session layer's lifetime.
-  const std::vector<media::StreamId>* intern_ladder(
-      std::vector<media::StreamId> ladder);
 
   /// Applies a requested mask to the view: narrowing commits now,
   /// widening goes pending; mirrors the wanted set into the FIB.
@@ -237,10 +225,6 @@ class SessionLayer {
   transport::RateMeter* egress_meter_ = nullptr;
   std::unordered_map<sim::NodeId, ClientViewState, SeededHash<sim::NodeId>>
       views_;
-  /// Interned simulcast ladders (see ClientViewState::ladder).
-  std::map<std::vector<media::StreamId>,
-           std::unique_ptr<const std::vector<media::StreamId>>>
-      ladder_table_;
   std::uint64_t view_requests_ = 0;
 };
 

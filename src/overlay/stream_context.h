@@ -1,11 +1,13 @@
 #pragma once
 
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "media/frame.h"
+#include "overlay/messages.h"
 #include "overlay/path.h"
 #include "overlay/records.h"
-#include "overlay/stream_fib.h"
 #include "sim/event_loop.h"
 #include "sim/message.h"
 #include "util/hash_seed.h"
@@ -30,13 +32,63 @@
 //    demand and erased only by release_stream()/crash().
 //  * The FIB portion (`fib`) has its own activation flag: a context
 //    created for path caching or pending bookkeeping is NOT yet a
-//    forwarding entry, exactly as the old separate StreamFib map would
-//    not have contained it. The hot path and the public fib() view
-//    consult only fib-active contexts.
+//    forwarding entry. The hot path and the public fib() view consult
+//    only fib-active contexts.
 //  * Engines share the table by reference; no engine holds per-stream
 //    state of its own outside the context (the per-*peer* pipelines —
 //    LinkSender/LinkReceiver — stay with their engines).
 namespace livenet::overlay {
+
+/// Stream Forwarding Information Base entry (paper §5.1): the
+/// downstream overlay nodes and locally attached clients subscribed to
+/// one stream. Updated by subscription/unsubscription requests;
+/// consulted by the fast path on every packet.
+struct FibEntry {
+  std::unordered_set<sim::NodeId> subscriber_nodes;
+  std::unordered_set<ClientId> subscriber_clients;
+  /// Standby-supplier downstreams: nodes that may NACK this stream
+  /// here (served from history/cache) but receive NO media fan-out.
+  /// Kept out of subscriber_nodes so the fast path never iterates
+  /// them — multi-supplier RTX costs the hot loop nothing.
+  std::unordered_set<sim::NodeId> rtx_only_nodes;
+  /// SVC layer masks, kept as SIDE maps holding only non-default
+  /// entries: a subscriber absent here wants every layer. The fast
+  /// path's fan-out loop stays untouched for the all-layers world —
+  /// it pays one `any_layer_filter()` bool before consulting masks.
+  std::unordered_map<sim::NodeId, media::LayerMask> node_layer_masks;
+  std::unordered_map<ClientId, media::LayerMask> client_layer_masks;
+  sim::NodeId upstream = sim::kNoNode;  ///< where we receive it from
+  bool locally_produced = false;        ///< this node is the producer
+
+  bool has_subscribers() const {
+    return !subscriber_nodes.empty() || !subscriber_clients.empty() ||
+           !rtx_only_nodes.empty();
+  }
+
+  bool any_layer_filter() const { return !node_layer_masks.empty(); }
+  media::LayerMask node_mask(sim::NodeId n) const {
+    const auto it = node_layer_masks.find(n);
+    return it != node_layer_masks.end() ? it->second : media::kAllLayers;
+  }
+  media::LayerMask client_mask(ClientId c) const {
+    const auto it = client_layer_masks.find(c);
+    return it != client_layer_masks.end() ? it->second : media::kAllLayers;
+  }
+  void set_node_mask(sim::NodeId n, media::LayerMask m) {
+    if (m == media::kAllLayers) {
+      node_layer_masks.erase(n);
+    } else {
+      node_layer_masks[n] = m;
+    }
+  }
+  void set_client_mask(ClientId c, media::LayerMask m) {
+    if (m == media::kAllLayers) {
+      client_layer_masks.erase(c);
+    } else {
+      client_layer_masks[c] = m;
+    }
+  }
+};
 
 /// A viewer whose attach is deferred until content (or path info)
 /// arrives for the stream it requested.
@@ -49,7 +101,7 @@ struct StreamContext {
   // ------------------------------------------------ forwarding (hot)
   /// Forwarding entry: subscriber sets + upstream + producer flag.
   /// Valid only while `fib_active` (see ownership rules above).
-  StreamFib::Entry fib;
+  FibEntry fib;
   bool fib_active = false;
 
   // ----------------------------------------------------------- control
@@ -84,13 +136,13 @@ struct StreamContext {
 };
 
 /// The single per-stream lookup. Exposes two views:
-///  * a FIB view (find/contains/stream_count) that is a drop-in for the
-///    old StreamFib observers — it sees only fib-active contexts, and
+///  * a FIB view (find/contains/stream_count) that sees only fib-active
+///    contexts, and
 ///  * a context view (find_context/context) for the engines.
 class StreamTable {
  public:
   // ------------------------------------------------------- FIB view
-  const StreamFib::Entry* find(media::StreamId s) const {
+  const FibEntry* find(media::StreamId s) const {
     const auto it = map_.find(s);
     return it != map_.end() && it->second.fib_active ? &it->second.fib
                                                      : nullptr;
@@ -99,9 +151,8 @@ class StreamTable {
   std::size_t stream_count() const { return fib_active_; }
   std::vector<media::StreamId> streams() const;
 
-  /// Creates (and activates) the forwarding entry, like the old
-  /// StreamFib::entry().
-  StreamFib::Entry& fib_entry(media::StreamId s) {
+  /// Creates (and activates) the forwarding entry.
+  FibEntry& fib_entry(media::StreamId s) {
     StreamContext& ctx = context(s);
     activate_fib(ctx);
     return ctx.fib;
@@ -113,8 +164,8 @@ class StreamTable {
   void add_client_subscriber(media::StreamId s, ClientId c) {
     fib_entry(s).subscriber_clients.insert(c);
   }
-  /// No-ops on streams without an active forwarding entry (matching
-  /// the old StreamFib, which never created entries on removal).
+  /// No-ops on streams without an active forwarding entry (removal
+  /// never creates one).
   void remove_node_subscriber(media::StreamId s, sim::NodeId n);
   void remove_client_subscriber(media::StreamId s, ClientId c);
 

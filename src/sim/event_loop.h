@@ -48,11 +48,6 @@ class EventLoop {
   /// returns, not when the event's timestamp comes up.
   void cancel(EventId id);
 
-  /// The seq the next schedule would take. Two equal reads bracket a
-  /// window in which nothing was scheduled — which proves no event can
-  /// order between items created in that window.
-  std::uint64_t seq_cursor() const { return next_seq_; }
-
   /// Runs until the queue drains or until_time is passed (whichever is
   /// first). Events at exactly until_time still run, and now() advances
   /// to until_time even if the queue drains earlier.

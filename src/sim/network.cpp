@@ -221,12 +221,4 @@ std::vector<NodeId> Network::neighbors(NodeId src) const {
   return out;
 }
 
-std::uint64_t Network::total_bytes_sent() const {
-  std::uint64_t total = 0;
-  for (const auto& row : rows_) {
-    for (const auto& e : row) total += e.link->stats().bytes_sent;
-  }
-  return total;
-}
-
 }  // namespace livenet::sim

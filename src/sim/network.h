@@ -134,9 +134,6 @@ class Network {
 
   EventLoop* loop() { return loop_; }
 
-  /// Total bytes accepted across all links (throughput accounting).
-  std::uint64_t total_bytes_sent() const;
-
  private:
   struct Edge {
     NodeId dst;

@@ -27,10 +27,4 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::pareto(double x_m, double alpha) {
-  double u = uniform();
-  if (u <= 0.0) u = std::numeric_limits<double>::min();
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 }  // namespace livenet

@@ -74,9 +74,6 @@ class Rng {
   /// normal distribution.
   double lognormal(double mu, double sigma);
 
-  /// Pareto draw with scale x_m and shape alpha (> 0).
-  double pareto(double x_m, double alpha);
-
   /// Picks an index in [0, n) uniformly. Requires n > 0.
   std::size_t index(std::size_t n) { return static_cast<std::size_t>(bounded(n)); }
 

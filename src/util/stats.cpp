@@ -87,13 +87,6 @@ double Samples::cdf_at(double x) const {
          static_cast<double>(values_.size());
 }
 
-std::vector<double> Samples::cdf(const std::vector<double>& points) const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (double p : points) out.push_back(cdf_at(p));
-  return out;
-}
-
 const std::vector<double>& Samples::sorted() const {
   sort_if_needed();
   return values_;

@@ -53,9 +53,6 @@ class Samples {
   /// Fraction of samples <= x (empirical CDF evaluated at x).
   double cdf_at(double x) const;
 
-  /// Evaluates the empirical CDF at each of the given points.
-  std::vector<double> cdf(const std::vector<double>& points) const;
-
   /// Read access to (sorted) raw values.
   const std::vector<double>& sorted() const;
 

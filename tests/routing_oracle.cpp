@@ -68,6 +68,22 @@ std::optional<WeightedPath> shortest_path_reference(
   return out;
 }
 
+std::optional<WeightedPath> ShortestPathTree::path_to(std::size_t src,
+                                                      std::size_t dst) const {
+  const std::size_t n = dist.size();
+  if (src >= n || dst >= n) return std::nullopt;
+  if (src == dst) return WeightedPath{{src}, 0.0};
+  if (dist[dst] == kInf) return std::nullopt;
+  WeightedPath out;
+  out.cost = dist[dst];
+  for (std::size_t cur = dst; cur != n; cur = prev[cur]) {
+    out.nodes.push_back(cur);
+    if (cur == src) break;
+  }
+  std::reverse(out.nodes.begin(), out.nodes.end());
+  return out;
+}
+
 ShortestPathTree shortest_path_tree_reference(const RoutingGraph& g,
                                               std::size_t src) {
   const std::size_t n = g.size();

@@ -25,6 +25,17 @@ std::optional<WeightedPath> shortest_path_reference(
     const std::vector<std::pair<std::size_t, std::size_t>>* banned_edges =
         nullptr);
 
+/// Single-source shortest-path tree (run to completion, no bans).
+/// Relaxation order matches shortest_path_reference() exactly, so the
+/// path read off the tree for any dst is identical to a per-pair call.
+struct ShortestPathTree {
+  std::vector<double> dist;       ///< +infinity when unreachable
+  std::vector<std::size_t> prev;  ///< g.size() for root/unreachable
+
+  /// Reconstructs src..dst (empty when dst is unreachable).
+  std::optional<WeightedPath> path_to(std::size_t src, std::size_t dst) const;
+};
+
 ShortestPathTree shortest_path_tree_reference(const RoutingGraph& g,
                                               std::size_t src);
 

@@ -4,7 +4,6 @@
 #include "overlay/messages.h"
 #include "overlay/packet_cache.h"
 #include "overlay/path.h"
-#include "overlay/stream_fib.h"
 
 // Unit tests for the overlay building blocks that are not covered by
 // the end-to-end integration suites.
@@ -30,40 +29,6 @@ media::RtpPacketMut pkt(media::StreamId s, media::Seq seq,
   body.referenced = referenced;
   body.payload_bytes = 1000;
   return RtpPacket::make(std::move(body));
-}
-
-// -------------------------------------------------------------- StreamFib
-
-TEST(StreamFib, SubscribersAccumulateAndRemove) {
-  StreamFib fib;
-  fib.add_node_subscriber(1, 10);
-  fib.add_node_subscriber(1, 11);
-  fib.add_client_subscriber(1, 100);
-  const auto* e = fib.find(1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->subscriber_nodes.size(), 2u);
-  EXPECT_TRUE(e->has_subscribers());
-
-  fib.remove_node_subscriber(1, 10);
-  fib.remove_node_subscriber(1, 10);  // idempotent
-  fib.remove_client_subscriber(1, 100);
-  EXPECT_EQ(fib.find(1)->subscriber_nodes.size(), 1u);
-  fib.remove_node_subscriber(1, 11);
-  EXPECT_FALSE(fib.find(1)->has_subscribers());
-}
-
-TEST(StreamFib, RemoveOnUnknownStreamIsNoop) {
-  StreamFib fib;
-  fib.remove_node_subscriber(42, 1);
-  fib.remove_client_subscriber(42, 1);
-  EXPECT_FALSE(fib.contains(42));
-}
-
-TEST(StreamFib, DuplicateSubscriberStoredOnce) {
-  StreamFib fib;
-  fib.add_node_subscriber(1, 10);
-  fib.add_node_subscriber(1, 10);
-  EXPECT_EQ(fib.find(1)->subscriber_nodes.size(), 1u);
 }
 
 // --------------------------------------------------------- PacketGopCache

@@ -4,6 +4,7 @@
 
 #include "brain/global_routing.h"
 #include "brain/ksp.h"
+#include "routing_oracle.h"
 #include "util/rng.h"
 
 // Property-style sweeps over the routing stack: invariants of Yen's
@@ -64,7 +65,7 @@ TEST_P(KspRandomGraphs, PathsValidLooplessSortedDistinct) {
         EXPECT_TRUE(seen.insert(wp.nodes).second);
       }
       // First path agrees with plain Dijkstra.
-      const auto sp = shortest_path(g, src, dst);
+      const auto sp = shortest_path_reference(g, src, dst);
       if (sp.has_value()) {
         ASSERT_FALSE(paths.empty());
         EXPECT_NEAR(paths[0].cost, sp->cost, 1e-9);

@@ -135,16 +135,19 @@ TEST(KspDifferential, SolverReuseAcrossDestinationsMatchesReference) {
   KspSolver solver(g);
   for (std::size_t a = 0; a < nodes.size(); ++a) {
     solver.set_source(a);
-    std::vector<WeightedPath> got;
     for (std::size_t b = 0; b < nodes.size(); ++b) {
       if (a == b) continue;
-      solver.k_shortest(b, 3, &got);
+      const std::size_t cnt = solver.k_shortest_scratch(b, 3);
+      std::vector<WeightedPath> got;
+      for (std::size_t i = 0; i < cnt; ++i) {
+        got.push_back({solver.accepted_nodes(i), solver.accepted_cost(i)});
+      }
       expect_paths_equal(got, k_shortest_paths_reference(g, a, b, 3));
     }
   }
 }
 
-TEST(KspDifferential, HigherKAndShortestPathMatchReference) {
+TEST(KspDifferential, HigherKMatchesReference) {
   ViewSpec spec;
   spec.n = 10;
   spec.seed = 4;
@@ -153,22 +156,11 @@ TEST(KspDifferential, HigherKAndShortestPathMatchReference) {
   const RoutingGraph g = GlobalRouting().build_graph(view, nodes);
   expect_paths_equal(k_shortest_paths(g, 0, 9, 6),
                      k_shortest_paths_reference(g, 0, 9, 6));
-  // Banned nodes/edges through the public single-pair API.
-  std::vector<bool> banned_nodes(g.size(), false);
-  banned_nodes[3] = true;
-  std::vector<std::pair<std::size_t, std::size_t>> banned_edges{{0, 9},
-                                                                {4, 9}};
-  const auto got = shortest_path(g, 0, 9, &banned_nodes, &banned_edges);
-  const auto want =
-      shortest_path_reference(g, 0, 9, &banned_nodes, &banned_edges);
-  ASSERT_EQ(got.has_value(), want.has_value());
-  if (got.has_value()) {
-    EXPECT_EQ(got->nodes, want->nodes);
-    EXPECT_EQ(got->cost, want->cost);
-  }
 }
 
-TEST(KspDifferential, TreeMatchesReferenceBitForBit) {
+// k = 1 reads the first path off the solver's source tree; it must be
+// the reference tree's path to every destination, cost bits included.
+TEST(KspDifferential, FirstPathMatchesReferenceTreeBitForBit) {
   for (const std::uint64_t seed : {5ull, 6ull}) {
     ViewSpec spec;
     spec.n = 18;
@@ -177,13 +169,17 @@ TEST(KspDifferential, TreeMatchesReferenceBitForBit) {
     const GlobalDiscovery view = make_view(spec);
     const auto nodes = id_range(0, spec.n);
     const RoutingGraph g = GlobalRouting().build_graph(view, nodes);
+    KspSolver solver(g);
     for (std::size_t src = 0; src < nodes.size(); ++src) {
-      const ShortestPathTree got = shortest_path_tree(g, src);
+      solver.set_source(src);
       const ShortestPathTree want = shortest_path_tree_reference(g, src);
-      ASSERT_EQ(got.dist.size(), want.dist.size());
-      for (std::size_t v = 0; v < got.dist.size(); ++v) {
-        EXPECT_EQ(got.dist[v], want.dist[v]) << "dist " << src << "->" << v;
-        EXPECT_EQ(got.prev[v], want.prev[v]) << "prev " << src << "->" << v;
+      for (std::size_t v = 0; v < nodes.size(); ++v) {
+        const auto ref = want.path_to(src, v);
+        const std::size_t cnt = solver.k_shortest_scratch(v, 1);
+        ASSERT_EQ(cnt, ref.has_value() ? 1u : 0u) << src << "->" << v;
+        if (cnt == 0) continue;
+        EXPECT_EQ(solver.accepted_nodes(0), ref->nodes) << src << "->" << v;
+        EXPECT_EQ(solver.accepted_cost(0), ref->cost) << src << "->" << v;
       }
     }
   }

@@ -55,11 +55,42 @@ TEST(StreamTable, RemoveSubscriberIsNoopWithoutActiveEntry) {
   EXPECT_EQ(t.find(7), nullptr);
   EXPECT_EQ(t.stream_count(), 0u);
 
-  t.add_node_subscriber(9, 3);  // creates + activates, like StreamFib
+  t.remove_node_subscriber(42, 3);  // unknown stream: nothing created
+  t.remove_client_subscriber(42, 4);
+  EXPECT_FALSE(t.contains(42));
+  EXPECT_EQ(t.find_context(42), nullptr);
+
+  t.add_node_subscriber(9, 3);  // creates + activates
   ASSERT_NE(t.find(9), nullptr);
   EXPECT_EQ(t.find(9)->subscriber_nodes.count(3), 1u);
   t.remove_node_subscriber(9, 3);
   EXPECT_TRUE(t.find(9)->subscriber_nodes.empty());
+}
+
+TEST(StreamTable, SubscribersAccumulateAndRemove) {
+  overlay::StreamTable t;
+  t.add_node_subscriber(1, 10);
+  t.add_node_subscriber(1, 11);
+  t.add_client_subscriber(1, 100);
+  const overlay::FibEntry* e = t.find(1);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->subscriber_nodes.size(), 2u);
+  EXPECT_TRUE(e->has_subscribers());
+
+  t.remove_node_subscriber(1, 10);
+  t.remove_node_subscriber(1, 10);  // idempotent
+  t.remove_client_subscriber(1, 100);
+  EXPECT_EQ(t.find(1)->subscriber_nodes.size(), 1u);
+  t.remove_node_subscriber(1, 11);
+  EXPECT_FALSE(t.find(1)->has_subscribers());
+  EXPECT_TRUE(t.contains(1));  // emptied, not erased
+}
+
+TEST(StreamTable, DuplicateSubscriberStoredOnce) {
+  overlay::StreamTable t;
+  t.add_node_subscriber(1, 10);
+  t.add_node_subscriber(1, 10);
+  EXPECT_EQ(t.find(1)->subscriber_nodes.size(), 1u);
 }
 
 TEST(StreamTable, EraseDropsEverythingInOneStroke) {

@@ -249,47 +249,59 @@ class PacketSink final : public sim::SimNode {
   std::vector<media::Seq> prevs;
 };
 
-TEST(SvcZeroCopy, FilteredTargetIsNeverForked) {
-  reset_telemetry();
+/// A bare ForwardingEngine on `self` with two 1 Gb/s peers `a` and `b`;
+/// the test drives fast_forward with its own StreamContext.
+struct FanoutHarness {
   sim::EventLoop loop;
-  sim::Network net(&loop, /*seed=*/5);
-  PacketSink owner, dense_peer, masked_peer;
-  const sim::NodeId self = net.add_node(&owner);
-  const sim::NodeId a = net.add_node(&dense_peer);
-  const sim::NodeId b = net.add_node(&masked_peer);
-  sim::LinkConfig lc;
-  lc.bandwidth_bps = 1e9;
-  lc.propagation_delay = 1 * kMs;
-  lc.loss_rate = 0.0;
-  lc.jitter_stddev = 0;
-  net.add_bidi_link(self, a, lc);
-  net.add_bidi_link(self, b, lc);
-
+  sim::Network net{&loop, /*seed=*/5};
+  PacketSink owner, sink_a, sink_b;
+  sim::NodeId self = net.add_node(&owner);
+  sim::NodeId a = net.add_node(&sink_a);
+  sim::NodeId b = net.add_node(&sink_b);
   overlay::OverlayNodeConfig cfg;
   overlay::NodeEnv env;
-  env.net = &net;
-  env.owner = &owner;
-  env.peers = {a, b};
-  env.peer_set = {a, b};
-  overlay::PeerSenders senders(&net, &owner, cfg.sender);
-  overlay::ForwardingEngine engine(&cfg, &env, &senders);
-
+  overlay::PeerSenders senders{&net, &owner, cfg.sender};
+  overlay::ForwardingEngine engine{&cfg, &env, &senders};
   overlay::StreamContext ctx;
-  ctx.fib_active = true;
-  ctx.fib.locally_produced = true;
-  ctx.fib.subscriber_nodes.insert(a);
-  ctx.fib.subscriber_nodes.insert(b);
-  ctx.fib.set_node_mask(b, layer_bit(0, 0));  // base temporal layer only
+
+  FanoutHarness() {
+    sim::LinkConfig lc;
+    lc.bandwidth_bps = 1e9;
+    lc.propagation_delay = 1 * kMs;
+    lc.loss_rate = 0.0;
+    lc.jitter_stddev = 0;
+    net.add_bidi_link(self, a, lc);
+    net.add_bidi_link(self, b, lc);
+    env.net = &net;
+    env.owner = &owner;
+    env.peers = {a, b};
+    env.peer_set = {a, b};
+    ctx.fib_active = true;
+    ctx.fib.locally_produced = true;
+  }
+
+  void forward(media::Seq s, std::uint8_t temporal = 0) {
+    engine.fast_forward(sim::kNoNode,
+                        media::RtpPacket::make(svc_body(s, temporal)), &ctx);
+  }
+};
+
+TEST(SvcZeroCopy, FilteredTargetIsNeverForked) {
+  reset_telemetry();
+  FanoutHarness h;
+  PacketSink& dense_peer = h.sink_a;
+  PacketSink& masked_peer = h.sink_b;
+  h.ctx.fib.subscriber_nodes.insert(h.a);
+  h.ctx.fib.subscriber_nodes.insert(h.b);
+  h.ctx.fib.set_node_mask(h.b, layer_bit(0, 0));  // base temporal layer only
 
   const std::uint64_t copies_before = media::RtpBody::deep_copy_count();
   const std::uint64_t filtered_before =
       telemetry::handles().layer_filtered->value();
   // T0 T1 T0: the enhancement (seq 2) is filtered off the masked link.
   for (media::Seq s = 1; s <= 3; ++s) {
-    engine.fast_forward(sim::kNoNode,
-                        media::RtpPacket::make(svc_body(s, s == 2 ? 1 : 0)),
-                        &ctx);
-    loop.run();
+    h.forward(s, s == 2 ? 1 : 0);
+    h.loop.run();
   }
 
   EXPECT_EQ(dense_peer.seqs, (std::vector<media::Seq>{1, 2, 3}));
@@ -303,7 +315,101 @@ TEST(SvcZeroCopy, FilteredTargetIsNeverForked) {
   EXPECT_EQ(media::RtpBody::deep_copy_count(), copies_before);
   EXPECT_EQ(telemetry::handles().layer_filtered->value(),
             filtered_before + 1);
-  EXPECT_EQ(engine.fast_forwards(), 5u);  // 3 dense + 2 masked forks
+  EXPECT_EQ(h.engine.fast_forwards(), 5u);  // 3 dense + 2 masked forks
+}
+
+// The deferred fan-out sends each packet to the subscribers it had when
+// fast_forward ran, whatever happens to the set during the delay.
+TEST(FanoutSnapshot, TargetsAreFixedAtFastForwardTime) {
+  reset_telemetry();
+  FanoutHarness h;
+  h.ctx.fib.subscriber_nodes.insert(h.a);
+
+  // Two packets at the same instant: both forwarded, in arrival order,
+  // and neither before the fast-path delay has passed.
+  h.forward(1);
+  h.forward(2);
+  h.loop.run_until(h.loop.now() + overlay::kFastProcDelay - 1);
+  EXPECT_EQ(h.engine.fast_forwards(), 0u);
+  h.loop.run();
+  EXPECT_EQ(h.sink_a.seqs, (std::vector<media::Seq>{1, 2}));
+
+  // Subscribed between fast_forward and its fan-out: not this packet.
+  h.forward(3);
+  h.ctx.fib.subscriber_nodes.insert(h.b);
+  h.loop.run();
+  EXPECT_EQ(h.sink_a.seqs, (std::vector<media::Seq>{1, 2, 3}));
+  EXPECT_TRUE(h.sink_b.seqs.empty());
+
+  // Unsubscribed in that window: still gets the packet.
+  h.forward(4);
+  h.ctx.fib.subscriber_nodes.erase(h.b);
+  h.loop.run();
+  EXPECT_EQ(h.sink_a.seqs, (std::vector<media::Seq>{1, 2, 3, 4}));
+  EXPECT_EQ(h.sink_b.seqs, (std::vector<media::Seq>{4}));
+  EXPECT_EQ(h.engine.fast_forwards(), 5u);
+}
+
+// Per-(stream, link) fast-path state — the FEC group encoders and the
+// masked-link seq history — dies with the stream on release and with
+// everything else on a crash.
+TEST(SvcTeardown, ReleaseAndCrashDropPerLinkState) {
+  reset_telemetry();
+  sim::EventLoop loop;
+  sim::Network net(&loop, /*seed=*/5);
+  overlay::OverlayMetrics metrics;
+  overlay::OverlayNodeConfig cfg;
+  cfg.fec_rate = 1.0;
+  overlay::OverlayNode node(&net, &metrics, cfg);
+  PacketSink broadcaster, dense_peer, masked_peer;
+  const sim::NodeId self = net.add_node(&node);
+  const sim::NodeId bcast = net.add_node(&broadcaster);
+  const sim::NodeId a = net.add_node(&dense_peer);
+  const sim::NodeId b = net.add_node(&masked_peer);
+  sim::LinkConfig lc;
+  lc.loss_rate = 0.0;
+  lc.jitter_stddev = 0;
+  net.add_bidi_link(self, bcast, lc);
+  net.add_bidi_link(self, a, lc);
+  net.add_bidi_link(self, b, lc);
+  node.set_overlay_peers({self, a, b});
+
+  for (const media::StreamId s : {7, 8}) {
+    auto pub = sim::make_message<overlay::PublishRequest>();
+    pub->stream_id = s;
+    net.send(bcast, self, std::move(pub));
+    for (const sim::NodeId peer : {a, b}) {
+      auto sub = sim::make_message<overlay::SubscribeRequest>();
+      sub->stream_id = s;
+      if (peer == b) sub->layer_mask = layer_bit(0, 0);
+      net.send(peer, self, std::move(sub));
+    }
+  }
+  loop.run_until(100 * kMs);
+  // T0 T1 T0 on both streams.
+  for (media::Seq q = 1; q <= 3; ++q) {
+    for (const media::StreamId s : {7, 8}) {
+      media::RtpBody body = svc_body(q, q == 2 ? 1 : 0);
+      body.stream_id = s;
+      net.send(bcast, self, media::RtpPacket::make(std::move(body)));
+    }
+  }
+  loop.run_until(200 * kMs);
+  ASSERT_EQ(masked_peer.seqs.size(), 4u);  // seqs 1 and 3 of each stream
+  // Per stream: an FEC encoder on each link + the masked link's history.
+  EXPECT_EQ(node.forwarding_link_states(7), 3u);
+  EXPECT_EQ(node.forwarding_link_states(8), 3u);
+
+  auto stop = sim::make_message<overlay::PublishStop>();
+  stop->stream_id = 7;
+  net.send(bcast, self, std::move(stop));
+  loop.run_until(300 * kMs);
+  EXPECT_FALSE(node.fib().contains(7));
+  EXPECT_EQ(node.forwarding_link_states(7), 0u);
+  EXPECT_EQ(node.forwarding_link_states(8), 3u);
+
+  node.crash();
+  EXPECT_EQ(node.forwarding_link_states(8), 0u);
 }
 
 // ---------------------------------------------------------------------
