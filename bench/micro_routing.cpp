@@ -48,10 +48,11 @@ std::vector<sim::NodeId> make_nodes(int n) {
 }
 
 // Steady-state routing cycle: the module persists across cycles (as in
-// BrainNode), so one untimed seed cycle warms the version-keyed caches
-// — every timed iteration then measures the recurring cycle cost, not
-// the once-per-process cold build. The reference benchmark below has no
-// persistent state, so its numbers are unaffected by this shape.
+// BrainNode), so one untimed seed cycle sizes its allocations. Every
+// timed iteration then measures the recurring cycle cost every run
+// pays: the graph and all shortest-path trees rebuilt, no allocation
+// grown. The reference benchmark below has no persistent state, so its
+// numbers are unaffected by this shape.
 void BM_GlobalRoutingRecompute(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const GlobalDiscovery view = make_view(n, 7);

@@ -62,8 +62,8 @@ fi
 # here rather than silently corrupting a benchmark. The Parallel Brain
 # rides along: the routing differential suite (thread-sweep recompute
 # bit-identity) and the threads=4 recompute smoke run under TSan, so a
-# race on the worker fan-out, the shared SolveCtx tables, or the lazily
-# materialized CSR dies here too. Then the golden gate: repro_scale
+# race on the worker fan-out, the shared SolveCtx tables, or the CSR
+# view the graph rebuild hands the workers dies here too. Then the golden gate: repro_scale
 # --shards=1 vs --shards=4 at the full acceptance topology must produce
 # byte-identical QoE CSVs (TSan build, so the diff also runs under the
 # race detector). Skip with BENCH_SKIP_TSAN=1.

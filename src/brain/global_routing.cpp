@@ -31,31 +31,22 @@ struct SolveCtx {
   std::size_t lr_count = 0;
 };
 
-struct SourceCounts {
+/// Output of one source solve: everything the ordered install phase
+/// needs to replay the source's Pib writes.
+struct SourceOutput {
+  std::vector<std::vector<overlay::Path>> kept_by_dst;  ///< size n
+  std::vector<std::uint32_t> fallback;  ///< relay index; lr_count = none
   std::size_t paths_installed = 0;
   std::size_t last_resort_pairs = 0;
 };
 
-/// Buffered output of one source solve in parallel mode: everything the
-/// ordered install phase needs to replay the source's Pib writes.
-struct SourceOutput {
-  std::vector<std::vector<overlay::Path>> kept_by_dst;  ///< size n
-  std::vector<std::uint32_t> fallback;  ///< relay index; lr_count = none
-  SourceCounts counts;
-};
-
-/// Solves every destination for source `a` and hands each destination's
-/// kept paths plus fallback-relay choice (`best_l`, lr_count = none) to
-/// `emit(b, kept, best_l)` in ascending destination order. The emit
-/// callback is the only difference between the inline (threads == 1)
-/// install and the buffered parallel path — which is the argument that
-/// the two produce byte-identical Pib contents.
-template <typename Emit>
-SourceCounts solve_source(const SolveCtx& c, KspSolver& solver, std::size_t a,
-                          std::vector<double>& lr_from,
-                          std::vector<overlay::Path>& kept, Emit&& emit) {
+/// Solves every destination for source `a` into `out`: each
+/// destination's kept paths plus its fallback-relay choice.
+void solve_source(const SolveCtx& c, KspSolver& solver, std::size_t a,
+                  std::vector<double>& lr_from, SourceOutput& out) {
   const std::vector<sim::NodeId>& nodes = *c.nodes;
-  SourceCounts out;
+  out.kept_by_dst.resize(c.n);
+  out.fallback.assign(c.n, static_cast<std::uint32_t>(c.lr_count));
   // src -> relay RTTs, hoisted per source.
   lr_from.resize(c.lr_count);
   for (std::size_t l = 0; l < c.lr_count; ++l) {
@@ -63,13 +54,13 @@ SourceCounts solve_source(const SolveCtx& c, KspSolver& solver, std::size_t a,
     lr_from[l] = ls != nullptr ? static_cast<double>(ls->rtt) : kMissingRtt;
   }
   // One forward tree for source `a` serves all destinations; spur trees
-  // accumulate across sources (and, via rebind(), across cycles).
+  // accumulate across the worker's sources within the cycle.
   solver.set_source(a);
   for (std::size_t b = 0; b < c.n; ++b) {
     if (a == b) continue;
     const std::size_t cnt = solver.k_shortest_scratch(b, c.cfg->k);
 
-    kept.clear();
+    std::vector<overlay::Path>& kept = out.kept_by_dst[b];
     for (std::size_t ci = 0; ci < cnt; ++ci) {
       const std::vector<std::size_t>& wp = solver.accepted_nodes(ci);
       // Constraint (iii): bounded path length.
@@ -108,10 +99,8 @@ SourceCounts solve_source(const SolveCtx& c, KspSolver& solver, std::size_t a,
       }
     }
     if (kept.empty() && best_l != c.lr_count) ++out.last_resort_pairs;
-    emit(b, kept, best_l);
-    kept.clear();
+    out.fallback[b] = static_cast<std::uint32_t>(best_l);
   }
-  return out;
 }
 
 }  // namespace
@@ -167,9 +156,6 @@ GlobalRouting::Result GlobalRouting::recompute(
   for (std::size_t a = 0; a < n; ++a) loads_[a] = view.node_load(nodes[a]);
   fill_graph_cells(view, nodes, idx_of_, loads_, &cells_);
   graph_.rebuild_from(n, &cells_);
-  // The CSR view is built lazily inside a const accessor; materialize
-  // it here so no two workers race to build it during the fan-out.
-  graph_.csr();
 
   // Precomputed constraint tables: one hash lookup per element per
   // cycle instead of per candidate path.
@@ -204,16 +190,12 @@ GlobalRouting::Result GlobalRouting::recompute(
   // pairs whose endpoints left the node set age out.
   scratch_.clear();
 
-  // Worker pool + per-worker solvers: created once, warm-started every
-  // cycle via rebind() (tree caches survive when the graph version did
-  // not move, scratch capacity survives always).
-  const std::size_t want = cfg_.threads > 0 ? cfg_.threads : 1;
-  if (workers_.size() != want) {
-    workers_.clear();
-    workers_.resize(want);
-  }
-  if (want > 1 && pool_ == nullptr) {
+  // Worker pool + per-worker solvers: created once and rebound every
+  // cycle, so scratch capacity survives from cycle to cycle.
+  if (pool_ == nullptr) {
+    const std::size_t want = cfg_.threads > 0 ? cfg_.threads : 1;
     pool_ = std::make_unique<util::ThreadPool>(want);
+    workers_.resize(want);
   }
   for (KspSolver& w : workers_) w.rebind(graph_);
 
@@ -231,50 +213,17 @@ GlobalRouting::Result GlobalRouting::recompute(
   const auto t1 = Clock::now();
 
   // ---- Phase 2: solve -----------------------------------------------
-  std::vector<SourceOutput> outputs;
-  if (want == 1) {
-    // Inline fast path: install into the scratch Pib as each pair
-    // resolves — no buffering, exactly the pre-parallel pipeline.
-    KspSolver& solver = workers_[0];
-    for (std::size_t a = 0; a < n; ++a) {
-      const SourceCounts counts = solve_source(
-          ctx, solver, a, lr_from_, kept_,
-          [&](std::size_t b, std::vector<overlay::Path>& kept,
-              std::size_t best_l) {
-            scratch_.set_paths(nodes[a], nodes[b], std::move(kept));
-            if (best_l != lr_count) {
-              scratch_.set_last_resort(
-                  nodes[a], nodes[b],
-                  overlay::Path{nodes[a], last_resort_nodes[best_l],
-                                nodes[b]});
-            }
-          });
-      res.paths_installed += counts.paths_installed;
-      res.last_resort_pairs += counts.last_resort_pairs;
+  // Fan-out: worker w takes sources w, w + T, ... Every source is an
+  // independent subproblem over the shared read-only cycle state;
+  // outputs are buffered per source and merged below.
+  std::vector<SourceOutput> outputs(n);
+  const std::size_t num_workers = pool_->size();
+  pool_->run([&](std::size_t w) {
+    std::vector<double> lr_from;
+    for (std::size_t a = w; a < n; a += num_workers) {
+      solve_source(ctx, workers_[w], a, lr_from, outputs[a]);
     }
-  } else {
-    // Fan-out: worker w takes sources w, w + T, ... Every source is an
-    // independent subproblem over the shared read-only cycle state;
-    // outputs are buffered per source and merged below.
-    outputs.resize(n);
-    const std::size_t num_workers = pool_->size();
-    pool_->run([&](std::size_t w) {
-      std::vector<double> lr_from;
-      std::vector<overlay::Path> kept;
-      for (std::size_t a = w; a < n; a += num_workers) {
-        SourceOutput& o = outputs[a];
-        o.kept_by_dst.resize(n);
-        o.fallback.assign(n, static_cast<std::uint32_t>(lr_count));
-        o.counts = solve_source(
-            ctx, workers_[w], a, lr_from, kept,
-            [&o](std::size_t b, std::vector<overlay::Path>& kept_b,
-                 std::size_t best_l) {
-              o.kept_by_dst[b] = std::move(kept_b);
-              o.fallback[b] = static_cast<std::uint32_t>(best_l);
-            });
-      }
-    });
-  }
+  });
   res.sources_solved = n;
   if (n > 0) {
     res.pairs = n * (n - 1);
@@ -284,25 +233,22 @@ GlobalRouting::Result GlobalRouting::recompute(
   const auto t2 = Clock::now();
 
   // ---- Phase 3: install ---------------------------------------------
-  if (want > 1) {
-    // Ordered merge: replays the exact set_paths/set_last_resort call
-    // sequence of the inline path (ascending source index, ascending
-    // destination), hence byte-identical Pib contents for any T.
-    for (std::size_t a = 0; a < n; ++a) {
-      SourceOutput& o = outputs[a];
-      for (std::size_t b = 0; b < n; ++b) {
-        if (a == b) continue;
-        scratch_.set_paths(nodes[a], nodes[b], std::move(o.kept_by_dst[b]));
-        if (o.fallback[b] != lr_count) {
-          scratch_.set_last_resort(
-              nodes[a], nodes[b],
-              overlay::Path{nodes[a], last_resort_nodes[o.fallback[b]],
-                            nodes[b]});
-        }
+  // Ordered merge: ascending source index, ascending destination, hence
+  // byte-identical Pib contents for any thread count.
+  for (std::size_t a = 0; a < n; ++a) {
+    SourceOutput& o = outputs[a];
+    for (std::size_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      scratch_.set_paths(nodes[a], nodes[b], std::move(o.kept_by_dst[b]));
+      if (o.fallback[b] != lr_count) {
+        scratch_.set_last_resort(
+            nodes[a], nodes[b],
+            overlay::Path{nodes[a], last_resort_nodes[o.fallback[b]],
+                          nodes[b]});
       }
-      res.paths_installed += o.counts.paths_installed;
-      res.last_resort_pairs += o.counts.last_resort_pairs;
     }
+    res.paths_installed += o.paths_installed;
+    res.last_resort_pairs += o.last_resort_pairs;
   }
 
   pib->swap_routes(&scratch_);

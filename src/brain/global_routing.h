@@ -24,26 +24,24 @@
 // of the cycle, so stale pairs age out and readers never observe a
 // half-installed cycle.
 //
-// Parallel Brain (DESIGN.md): with `threads > 1` the per-source solves
-// fan out over a persistent worker pool. Every source is an independent
-// subproblem, each worker owns its own solver (scratch, arenas, tree
-// caches), and worker outputs are buffered and merged into the scratch
-// Pib in source-index order — so the installed routes are byte-for-byte
-// identical for ANY thread count, including 1. The module also
-// warm-starts across cycles: the weight graph is rebuilt in place and
-// keeps its version when nothing moved, which lets the per-worker
-// solvers carry their forward-SPT caches (and all scratch capacity)
-// from cycle to cycle.
+// Parallel Brain (DESIGN.md): the per-source solves fan out over a
+// persistent worker pool of `threads` workers (a pool of 1 runs on the
+// caller alone). Every source is an independent subproblem, each worker
+// owns its own solver (scratch, arenas, tree caches), and worker
+// outputs are buffered and merged into the scratch Pib in source-index
+// order — so the installed routes are byte-for-byte identical for ANY
+// thread count. The weight graph and the per-worker solvers live
+// across cycles and keep their allocations; every cycle rebuilds the
+// graph and the solvers' trees from the fresh view.
 namespace livenet::brain {
 
 struct GlobalRoutingConfig {
   std::size_t k = 3;           ///< candidate paths per pair
   int max_hops = 3;            ///< constraint (iii)
   double overload_threshold = 0.8;  ///< constraints (i)/(ii) proxy
-  /// Worker threads for the per-source KSP fan-out. 1 (the default)
-  /// solves inline on the caller with no pool and no buffering —
-  /// exactly the pre-parallel behavior. Output is byte-identical for
-  /// every value.
+  /// Worker threads for the per-source KSP fan-out, the caller
+  /// included: 1 (the default) spawns no thread. Output is
+  /// byte-identical for every value.
   std::size_t threads = 1;
 };
 
@@ -57,10 +55,9 @@ class GlobalRouting {
     std::size_t sources_solved = 0;
     // Wall-clock phase split (telemetry; zero for recompute_reference).
     // graph_build covers view -> weight graph plus the per-cycle
-    // constraint tables; solve is the per-source KSP work
-    // — fan-out wall time when threads > 1, the inline solve/install
-    // loop when threads == 1; install is the ordered merge (threads >
-    // 1) plus the double-buffer swap.
+    // constraint tables; solve is the wall time of the per-source KSP
+    // fan-out; install is the ordered merge plus the double-buffer
+    // swap.
     double graph_build_ms = 0.0;
     double solve_ms = 0.0;
     double install_ms = 0.0;
@@ -72,7 +69,7 @@ class GlobalRouting {
   /// `nodes`: the regular overlay nodes; `last_resort_nodes`: the
   /// reserved relays (excluded from regular routing). Installs paths
   /// into `pib`. Non-const: the module carries the double-buffer
-  /// scratch and the warm-start graph/solver state across cycles.
+  /// scratch and the graph/solver allocations across cycles.
   Result recompute(const GlobalDiscovery& view,
                    const std::vector<sim::NodeId>& nodes,
                    const std::vector<sim::NodeId>& last_resort_nodes,
@@ -99,10 +96,8 @@ class GlobalRouting {
 
   Pib scratch_;  ///< double buffer (see recompute())
 
-  // Warm-start state: the weight graph persists and is rebuilt in
-  // place (version moves only when a cell changed), so the per-worker
-  // solvers' tree caches stay valid across quiet cycles. All scratch
-  // below keeps its capacity for the lifetime of the module.
+  // The weight graph persists and is rebuilt in place every cycle. All
+  // scratch below keeps its capacity for the lifetime of the module.
   RoutingGraph graph_{0};
   std::vector<double> cells_;  ///< rebuild fill buffer (swapped in/out)
   std::unordered_map<sim::NodeId, std::size_t> idx_of_;
@@ -110,8 +105,6 @@ class GlobalRouting {
   std::vector<std::uint8_t> node_over_;
   std::vector<std::uint8_t> link_over_;
   std::vector<double> lr_to_;
-  std::vector<double> lr_from_;
-  std::vector<overlay::Path> kept_;
 
   // Parallel fan-out: one solver per worker (index-aligned with the
   // pool's worker ids), created on first use, rebound every cycle.

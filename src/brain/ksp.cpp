@@ -171,30 +171,20 @@ std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
 // KspSolver.
 
 void KspSolver::rebind(const RoutingGraph& g) {
-  const bool same_graph = (g_ == &g);
-  const std::size_t n = g.size();
   g_ = &g;
-  if (n != n_) {
-    n_ = n;
+  if (g.size() != n_) {
+    n_ = g.size();
     tree_dist_.resize(n_ * n_);
     tree_dist_t_.resize(n_ * n_);
     tree_prev_.resize(n_ * n_);
     tree_settled_.resize(n_);
-    tree_built_.assign(n_, 0);
-    built_count_ = 0;
     ws_.bind(n_);
-    bound_version_ = g.version();
-    src_set_ = false;
-    return;
   }
-  if (!same_graph || bound_version_ != g.version()) {
-    // Graph moved: every cached tree is stale. Drop validity flags
-    // only — the n*n tree rows and the workspace keep their storage.
-    std::fill(tree_built_.begin(), tree_built_.end(), std::uint8_t{0});
-    built_count_ = 0;
-    bound_version_ = g.version();
-    src_set_ = false;
-  }
+  // Drop validity flags only: the n*n tree rows and the workspace keep
+  // their storage.
+  tree_built_.assign(n_, 0);
+  built_count_ = 0;
+  src_set_ = false;
 }
 
 void KspSolver::ensure_tree(std::size_t root) {
@@ -243,42 +233,6 @@ bool KspSolver::seen_insert(std::size_t slot) {
 
 bool KspSolver::spur_search(std::size_t spur, std::size_t dst,
                             WeightedPath* out) {
-  ensure_tree(spur);
-  const double* d = tree_dist_.data() + spur * n_;
-  const std::uint32_t* p = tree_prev_.data() + spur * n_;
-  if (d[dst] == kInf) return false;  // unreachable even without bans
-
-  // Fast path: if the *unrestricted* tree path from the spur avoids
-  // every banned element, the banned-graph Dijkstra would settle the
-  // same chain with the same (dist, prev) bits, so the tree path IS the
-  // spur result (the bans only remove strictly worse alternatives).
-  // All banned edges originate at the spur, so only the first hop needs
-  // the edge check, and tree paths are simple so later edges are safe.
-  bool clean = true;
-  std::size_t first_hop = n_;
-  for (std::size_t cur = dst; cur != spur;) {
-    if (ws_.banned_node[cur] != 0) {
-      clean = false;
-      break;
-    }
-    const std::size_t prv = p[cur];
-    if (prv == spur) first_hop = cur;
-    cur = prv;
-  }
-  if (clean) {
-    for (const std::uint32_t b : ws_.banned_next) {
-      if (b == first_hop) {
-        clean = false;
-        break;
-      }
-    }
-  }
-  if (clean) {
-      out->cost = d[dst];
-    extract_path(p, spur, dst, &out->nodes);
-    return true;
-  }
-
   // Stitch path: answer from the cached per-node trees when the best
   // first hop wins strictly and its tree continuation is clean.
   bool unreachable = false;
@@ -343,14 +297,6 @@ bool KspSolver::stitch_search(std::size_t spur, std::size_t dst,
   *bound = kInf;
   const auto& csr = g_->csr();
   const std::uint32_t row_end = csr.row_start[spur + 1];
-  // Cost gate (performance only — stitch and fallback return identical
-  // results): every candidate hop needs its tree, and one tree build
-  // costs a full Dijkstra, i.e. more than the fallback search itself.
-  // The builds are cached, so a solver serving many destinations (the
-  // recompute cycle) amortizes them to nothing — but a single-shot
-  // query would build a cold cache for one answer, so it skips straight
-  // to the fallback.
-  if (pairs_served_ < 8) return false;
   double best = kInf;          // minimal clean stitch (exact value)
   std::size_t best_v = n_;
   bool tie = false;            // exact tie on the current best
@@ -393,10 +339,10 @@ bool KspSolver::stitch_search(std::size_t spur, std::size_t dst,
     }
   };
   if (built_count_ == n_) {
-    // Steady state (every tree cached, the warm cycle shape): mask the
-    // banned hops' transposed cells with +inf up front, so the hot loop
-    // runs with no per-hop ban or cache checks — the dense weight row
-    // and the transposed dist column stream sequentially (no CSR column
+    // Steady state (every tree cached): mask the banned hops'
+    // transposed cells with +inf up front, so the hot loop runs with no
+    // per-hop ban or cache checks — the dense weight row and the
+    // transposed dist column stream sequentially (no CSR column
     // gather), leaving one add, one compare, one predictable branch per
     // hop. Banned hops never contribute to best/tie/dirty_lb, so
     // masking them is behavior-free; the undo log restores the cells
@@ -480,7 +426,6 @@ std::size_t KspSolver::k_shortest_scratch(std::size_t dst, std::size_t k) {
   heap_.clear();
   seen_.clear();
   if (k == 0) return 0;
-  ++pairs_served_;
 
   // First (shortest) path, read off the source tree into an arena
   // slot.

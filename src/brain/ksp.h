@@ -15,8 +15,8 @@
 // KspSolver is the one implementation: an allocation-free array
 // Dijkstra over the graph's CSR view (DijkstraWorkspace) plus a
 // per-source batched Yen that shares one forward shortest-path tree
-// across every destination and caches per-node trees for spur fast
-// paths. GlobalRouting runs it; k_shortest_paths() is a one-shot
+// across every destination and caches per-node trees for spur
+// stitching. GlobalRouting runs it; k_shortest_paths() is a one-shot
 // wrapper for a single pair.
 //
 // The original per-pair heap implementation lives in the test tree as
@@ -72,28 +72,24 @@ struct DijkstraWorkspace {
 
 /// Per-source batched Yen KSP over a fixed graph. One forward
 /// shortest-path tree per source yields the first path for every
-/// destination. Spur searches resolve, in order, through: (1) the
-/// spur's own unrestricted tree path when it avoids every banned
-/// element; (2) first-hop stitching — the cached tree of each allowed
-/// first hop gives its exact best continuation, and a strictly-winning
-/// clean hop provably reproduces the banned Dijkstra's answer; (3) a
-/// banned array Dijkstra with early exit at the destination, pruned by
-/// the stitch's bound so hopeless nodes never settle. Output is
-/// bit-identical to k_shortest_paths_reference() for every (dst, k).
+/// destination. Spur searches resolve, in order, through: (1) first-hop
+/// stitching — the cached tree of each allowed first hop gives its
+/// exact best continuation, and a strictly-winning clean hop provably
+/// reproduces the banned Dijkstra's answer; (2) a banned array Dijkstra
+/// with early exit at the destination, pruned by the stitch's bound so
+/// hopeless nodes never settle. Output is bit-identical to
+/// k_shortest_paths_reference() for every (dst, k).
 class KspSolver {
  public:
-  /// Unbound solver (warm-start pools construct these up front and
-  /// rebind() them to the cycle's graph).
+  /// Unbound solver (GlobalRouting's per-worker solvers are built up
+  /// front and rebind() to each cycle's graph).
   KspSolver() = default;
   explicit KspSolver(const RoutingGraph& g) { rebind(g); }
 
-  /// (Re)binds the solver to `g`, keyed on the graph's mutation
-  /// version: when the same graph object comes back unchanged, every
-  /// cached shortest-path tree stays valid and the next cycle starts
-  /// warm; when it changed (or is a different/resized graph) the tree
-  /// cache is invalidated *without releasing any allocation*, so a
-  /// long-lived solver stops paying realloc churn after its first
-  /// cycle. `g` must outlive the solver's next use.
+  /// Binds the solver to `g` and drops every cached shortest-path tree
+  /// *without releasing any allocation*, so a long-lived solver stops
+  /// paying realloc churn after its first cycle. `g` must outlive the
+  /// solver's next use.
   void rebind(const RoutingGraph& g);
 
   /// Computes (or reuses) the forward tree rooted at `src`.
@@ -125,14 +121,11 @@ class KspSolver {
 
   const RoutingGraph* g_ = nullptr;
   std::size_t n_ = 0;
-  std::uint64_t bound_version_ = ~0ull;  ///< graph version trees match
   std::size_t src_ = 0;
   bool src_set_ = false;
-  std::size_t pairs_served_ = 0;  ///< k_shortest calls (stitch cost gate)
 
   // Lazily-built all-node tree cache: row `r` holds the full forward
-  // tree rooted at r once tree_built_[r] is set. Survives rebind()
-  // whenever the graph version did not move (warm-start).
+  // tree rooted at r once tree_built_[r] is set; rebind() clears it.
   std::vector<double> tree_dist_;
   std::vector<std::uint32_t> tree_prev_;
   std::vector<std::uint8_t> tree_built_;
@@ -185,7 +178,7 @@ class KspSolver {
   std::vector<std::size_t> stitch_nodes_;  ///< scratch: tree walk, reversed
   /// Root nodes banned for the current spur (the running prefix of the
   /// deviating path) — list form of the ws_.banned_node byte map, so
-  /// the warm stitch scan can mask exactly those hops up front.
+  /// the steady-state stitch scan can mask exactly those hops up front.
   std::vector<std::uint32_t> banned_roots_;
   std::vector<Cand> mask_saved_;  ///< (old value, index) undo log
 };

@@ -29,18 +29,13 @@ double link_weight(const LinkState& link, double node_util_a,
   return expected_rtt * utilization_penalty(u);
 }
 
-bool RoutingGraph::rebuild_from(std::size_t n, std::vector<double>* cells) {
-  if (n == n_ && *cells == weights_) {
-    return false;  // bit-identical matrix: keep version (and caches)
-  }
+void RoutingGraph::rebuild_from(std::size_t n, std::vector<double>* cells) {
   n_ = n;
   weights_.swap(*cells);
-  ++version_;
-  return true;
+  build_csr();
 }
 
-const RoutingGraph::CsrView& RoutingGraph::csr() const {
-  if (csr_version_ == version_) return csr_;
+void RoutingGraph::build_csr() {
   csr_.row_start.assign(n_ + 1, 0);
   csr_.col.clear();
   csr_.weight.clear();
@@ -64,8 +59,6 @@ const RoutingGraph::CsrView& RoutingGraph::csr() const {
     }
   }
   csr_.row_start[n_] = static_cast<std::uint32_t>(csr_.col.size());
-  csr_version_ = version_;
-  return csr_;
 }
 
 }  // namespace livenet::brain

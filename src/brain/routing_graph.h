@@ -42,30 +42,26 @@ double link_weight(const LinkState& link, double node_util_a,
 /// settled node. Columns within a CSR row are ascending, i.e. exactly
 /// the order the dense scan visits neighbors — relaxation order (and
 /// therefore equal-cost tie-breaking) is identical between the views.
+/// Both views are built together, so a const graph is safe to share
+/// across threads.
 class RoutingGraph {
  public:
+  /// n nodes, no edges.
   explicit RoutingGraph(std::size_t n)
-      : n_(n), weights_(n * n, kNoEdge) {}
+      : n_(n), weights_(n * n, kNoEdge) {
+    build_csr();
+  }
 
   static constexpr double kNoEdge = -1.0;
 
   std::size_t size() const { return n_; }
 
-  void set_weight(std::size_t a, std::size_t b, double w) {
-    weights_[a * n_ + b] = w;
-    ++version_;
-  }
-
   /// Wholesale in-place rebuild from a freshly-filled dense matrix
   /// (`cells` holds n*n weights, kNoEdge for absent edges; it is
   /// swapped in, and the previous matrix is handed back through the
   /// same pointer for the caller to reuse as next cycle's fill
-  /// buffer). The version is bumped only when at least one cell
-  /// actually changed, so per-graph caches (the CSR view, solver
-  /// shortest-path trees) stay valid across cycles whose inputs did
-  /// not move — the warm-start key of the Parallel Brain.
-  /// Returns true when the graph changed.
-  bool rebuild_from(std::size_t n, std::vector<double>* cells);
+  /// buffer), followed by a rebuild of the CSR view.
+  void rebuild_from(std::size_t n, std::vector<double>* cells);
   double weight(std::size_t a, std::size_t b) const {
     return weights_[a * n_ + b];
   }
@@ -85,21 +81,15 @@ class RoutingGraph {
     std::size_t edge_count() const { return col.size(); }
   };
 
-  /// Returns the CSR view, (re)building it if any edge changed since
-  /// the last call. Cold path: O(n^2) per rebuild, amortized over every
-  /// Dijkstra of a routing cycle.
-  const CsrView& csr() const;
-
-  /// Monotonic mutation counter; callers caching per-graph state
-  /// (e.g. shortest-path trees) key their validity on it.
-  std::uint64_t version() const { return version_; }
+  const CsrView& csr() const { return csr_; }
 
  private:
+  /// O(n^2) per rebuild, amortized over every Dijkstra of a cycle.
+  void build_csr();
+
   std::size_t n_;
   std::vector<double> weights_;
-  std::uint64_t version_ = 0;
-  mutable CsrView csr_;
-  mutable std::uint64_t csr_version_ = ~0ull;  ///< version csr_ was built at
+  CsrView csr_;
 };
 
 }  // namespace livenet::brain

@@ -11,6 +11,7 @@
 #include "media/rtp.h"
 #include "media/video_source.h"
 #include "overlay/messages.h"
+#include "sim/shard.h"
 #include "sim/sim_node.h"
 #include "util/logging.h"
 
@@ -410,8 +411,6 @@ ShardedScaleSim::ShardedScaleSim(const ShardedScaleConfig& cfg)
 ShardedScaleSim::~ShardedScaleSim() = default;
 
 ShardedScaleResult ShardedScaleSim::run() { return impl_->run(); }
-
-sim::ShardedSim& ShardedScaleSim::sharded() { return impl_->sharded; }
 
 ShardedScaleConfig scale_acceptance_config(std::size_t shards,
                                            std::uint32_t viewers_per_leaf) {

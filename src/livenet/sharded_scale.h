@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "sim/shard.h"
 #include "util/time.h"
 
 // Million-viewer scale harness (ROADMAP open item 1): a static
@@ -77,9 +76,6 @@ class ShardedScaleSim {
 
   /// Builds, runs for cfg.duration, and reports. Call once.
   ShardedScaleResult run();
-
-  /// The underlying sharded runtime (diagnostics, tests).
-  sim::ShardedSim& sharded();
 
  private:
   struct Impl;

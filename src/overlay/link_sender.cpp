@@ -21,8 +21,7 @@ void note_rtx(const media::RtpPacket& pkt, Time now, sim::NodeId self,
 
 LinkSender::LinkSender(sim::Network* net, sim::NodeId self, sim::NodeId peer,
                        const Config& cfg)
-    : net_(net), self_(self), peer_(peer), history_(cfg.history),
-      gcc_(cfg.gcc),
+    : net_(net), self_(self), peer_(peer), gcc_(cfg.gcc),
       pacer_(net->loop(), transport::Pacer::SendFn{}, cfg.pacer) {
   // Direct wire sink: the pacer stamps the per-hop departure time for
   // the peer's GCC delay estimator and hands the packet to the network

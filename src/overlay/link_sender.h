@@ -20,7 +20,6 @@ class LinkSender {
  public:
   struct Config {
     transport::Pacer::Config pacer;
-    transport::SendHistory::Config history;
     transport::GccSender::Config gcc;
   };
 

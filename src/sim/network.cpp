@@ -117,12 +117,8 @@ SendResult Network::send_ex(NodeId src, NodeId dst, MessagePtr msg) {
     // map (or any post-freeze misroute) shows up as kNoRoute drops that
     // tests can count; Release runs keep going.
     ++route_misses_;
-    if (route_miss_policy_ == RouteMissPolicy::kStrict) {
-      LIVENET_LOG(kError) << "send: no link " << src << "->" << dst << " for "
-                          << msg->describe();
-    } else {
-      LIVENET_LOG(kDebug) << "send: no link " << src << "->" << dst;
-    }
+    LIVENET_LOG(kError) << "send: no link " << src << "->" << dst << " for "
+                        << msg->describe();
     return SendResult{false, kNever, SendDrop::kNoRoute};
   }
   const SendResult res = l->send(msg->wire_size());

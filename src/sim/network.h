@@ -81,17 +81,9 @@ class Network {
   /// send() with the full reason-coded outcome. A missing link is a
   /// SendDrop::kNoRoute drop (arrival kNever), not an abort: a bad
   /// partition map must fail loudly in tests without killing Release
-  /// runs. See RouteMissPolicy.
+  /// runs. Every miss is error-logged and counted.
   SendResult send_ex(NodeId src, NodeId dst, MessagePtr msg);
 
-  /// How loudly a routing miss (send with no link) complains. kStrict —
-  /// the default, and what tests run under — error-logs every miss;
-  /// kLenient demotes them to debug chatter for Release-scale runs
-  /// where the count is the signal. Both count and reason-code the
-  /// drop identically.
-  enum class RouteMissPolicy : std::uint8_t { kStrict, kLenient };
-  void set_route_miss_policy(RouteMissPolicy p) { route_miss_policy_ = p; }
-  RouteMissPolicy route_miss_policy() const { return route_miss_policy_; }
   /// Total sends that found no link.
   std::uint64_t route_miss_count() const { return route_misses_; }
 
@@ -159,7 +151,6 @@ class Network {
   std::vector<Link*> matrix_;
   NodeId frozen_n_ = 0;
   std::uint64_t delivered_ = 0;
-  RouteMissPolicy route_miss_policy_ = RouteMissPolicy::kStrict;
   std::uint64_t route_misses_ = 0;
   /// Sharded-run region map + boundary handoff (null when unsharded).
   const std::int32_t* region_of_ = nullptr;

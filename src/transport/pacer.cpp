@@ -93,24 +93,9 @@ void Pacer::fire() {
   if (!pkt) return;  // queue drained; nothing to re-arm
   const double gain =
       pkt->frame_type() == media::FrameType::kI ? cfg_.i_frame_gain : 1.0;
-  // Memoized pacing interval: consecutive packets almost always share
-  // (wire size, gain, rate), so the divide chain is replaced by three
-  // compares on the hot path. Bit-identical — a miss runs the exact
-  // same expression.
-  const std::size_t wsz = e.bytes;
-  Duration interval;
-  if (wsz == memo_bytes_ && gain == memo_gain_ &&
-      cfg_.rate_bps == memo_rate_) {
-    interval = memo_interval_;
-  } else {
-    interval = static_cast<Duration>(
-        static_cast<double>(wsz) * 8.0 /
-        (cfg_.rate_bps * gain) * static_cast<double>(kSec));
-    memo_bytes_ = wsz;
-    memo_gain_ = gain;
-    memo_rate_ = cfg_.rate_bps;
-    memo_interval_ = interval;
-  }
+  const Duration interval = static_cast<Duration>(
+      static_cast<double>(e.bytes) * 8.0 / (cfg_.rate_bps * gain) *
+      static_cast<double>(kSec));
   next_send_ok_ += interval;
   ++packets_sent_;
   if (net_ != nullptr) {

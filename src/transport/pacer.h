@@ -127,11 +127,6 @@ class Pacer {
   PacketFifo parity_q_;
   std::size_t queue_bytes_ = 0;
   Time next_send_ok_ = 0;
-  /// Last computed pacing interval and its inputs (see fire()).
-  std::size_t memo_bytes_ = 0;
-  double memo_gain_ = 0.0;
-  double memo_rate_ = 0.0;
-  Duration memo_interval_ = 0;
   sim::EventId timer_ = sim::kInvalidEvent;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;

@@ -1,29 +1,19 @@
 #include "transport/send_history.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace livenet::transport {
 
 namespace {
 /// A new flow's ring; doubles on the first live collision.
 constexpr std::size_t kInitialSlots = 16;
-/// Seq span a ring may always grow to cover, whatever max_packets is:
-/// far beyond max_age of the fastest flow, so only a seq jump this
-/// large can make a record overwrite a live entry.
-constexpr std::size_t kMinSpanSlots = std::size_t{1} << 16;
 }  // namespace
-
-SendHistory::SendHistory(const Config& cfg)
-    : cfg_(cfg),
-      max_slots_(std::bit_ceil(std::max(cfg.max_packets, kMinSpanSlots))) {}
 
 void SendHistory::record(const media::RtpPacketPtr& pkt, Time now) {
   const Time cut = cutoff(now);
-  const std::uint64_t index = records_++;
   if (now >= next_sweep_) {
     sweep(cut);
-    next_sweep_ = now + cfg_.max_age;
+    next_sweep_ = now + kMaxAge;
   }
   const media::StreamId stream = pkt->stream_id();
   if (cached_ == nullptr || cached_stream_ != stream) {
@@ -33,18 +23,18 @@ void SendHistory::record(const media::RtpPacketPtr& pkt, Time now) {
   Ring& r = (*cached_)[pkt->is_audio() ? 1 : 0];
   const media::Seq seq = pkt->seq;
 
-  if (r.slots.empty()) r.slots.resize(std::min(kInitialSlots, max_slots_));
+  if (r.slots.empty()) r.slots.resize(kInitialSlots);
   expire(r, cut);
   if (r.held == 0) r.lo = r.hi = seq;
 
   Slot* s = &r.slots[seq & (r.slots.size() - 1)];
   while (s->pkt && s->seq != seq && live(*s, cut) &&
-         r.slots.size() < max_slots_) {
+         r.slots.size() < kMaxSlots) {
     grow(r, cut);
     s = &r.slots[seq & (r.slots.size() - 1)];
   }
   if (!s->pkt) ++r.held;
-  *s = Slot{seq, now, index, pkt};
+  *s = Slot{seq, now, pkt};
   r.lo = std::min(r.lo, seq);
   r.hi = std::max(r.hi, seq + 1);
 }

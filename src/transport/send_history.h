@@ -15,27 +15,25 @@
 //
 // Each flow (stream + audio/video) keeps a power-of-two ring indexed by
 // `seq & mask`; a slot is tagged with its seq, so record and lookup are
-// one slot access. An entry is live while it is younger than `max_age`
-// and among the last `max_packets` records of the whole history. A
-// record that lands on a different seq's live entry doubles the ring
+// one slot access. An entry is live while it is younger than kMaxAge.
+// A record that lands on a different seq's live entry doubles the ring
 // instead of overwriting it, so sparse (layer-filtered) and
 // out-of-order seqs lose nothing; only a flow whose live seqs span more
-// than max(max_packets, 65536) overwrites. A per-ring cursor walks up
-// from the lowest seq on every record and clears dead entries, and a
-// sweep every `max_age` drops the rings of flows that stopped
-// recording, so memory stays at about `max_age` worth of packets.
+// than kMaxSlots overwrites. A per-ring cursor walks up from the lowest
+// seq on every record and clears dead entries, and a sweep every
+// kMaxAge drops the rings of flows that stopped recording, so memory
+// stays at about kMaxAge worth of packets.
 namespace livenet::transport {
 
 class SendHistory {
  public:
-  struct Config {
-    Duration max_age = 2 * kSec;        ///< drop entries older than this
-    /// Only the latest this-many records (all flows) are live.
-    std::size_t max_packets = 100000;
-  };
+  /// Entries older than this are dead.
+  static constexpr Duration kMaxAge = 2 * kSec;
+  /// Ring size cap per flow: far beyond kMaxAge of the fastest flow, so
+  /// only a seq jump this large makes a record overwrite a live entry.
+  static constexpr std::size_t kMaxSlots = std::size_t{1} << 16;
 
-  SendHistory() : SendHistory(Config()) {}
-  explicit SendHistory(const Config& cfg);
+  SendHistory() = default;
   // cached_ points into this object's own flows_.
   SendHistory(const SendHistory&) = delete;
   SendHistory& operator=(const SendHistory&) = delete;
@@ -58,7 +56,6 @@ class SendHistory {
   struct Slot {
     media::Seq seq = 0;
     Time sent = 0;
-    std::uint64_t index = 0;  ///< position in the record sequence
     media::RtpPacketPtr pkt;  ///< null: empty slot
   };
   struct Ring {
@@ -69,13 +66,12 @@ class SendHistory {
   };
   using FlowRings = std::array<Ring, 2>;  ///< [video, audio]
 
-  Time cutoff(Time now) const {
-    // now < max_age: no record can be stale yet.
-    return now >= cfg_.max_age ? now - cfg_.max_age : 0;
+  static Time cutoff(Time now) {
+    // now < kMaxAge: no record can be stale yet.
+    return now >= kMaxAge ? now - kMaxAge : 0;
   }
-  bool live(const Slot& s, Time cutoff) const {
-    return s.pkt && s.sent >= cutoff &&
-           s.index + cfg_.max_packets >= records_;
+  static bool live(const Slot& s, Time cutoff) {
+    return s.pkt && s.sent >= cutoff;
   }
   FlowRings* find(media::StreamId stream);
   void expire(Ring& r, Time cutoff);
@@ -83,9 +79,6 @@ class SendHistory {
   void grow(Ring& r, Time cutoff);
   void sweep(Time cutoff);
 
-  Config cfg_;
-  std::size_t max_slots_;
-  std::uint64_t records_ = 0;
   Time next_sweep_ = 0;
   std::unordered_map<media::StreamId, FlowRings> flows_;
   media::StreamId cached_stream_ = 0;

@@ -87,11 +87,6 @@ double Samples::cdf_at(double x) const {
          static_cast<double>(values_.size());
 }
 
-const std::vector<double>& Samples::sorted() const {
-  sort_if_needed();
-  return values_;
-}
-
 BoxStats boxplot(const Samples& s) {
   BoxStats b;
   b.p20 = s.quantile(0.20);

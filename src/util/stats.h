@@ -53,9 +53,6 @@ class Samples {
   /// Fraction of samples <= x (empirical CDF evaluated at x).
   double cdf_at(double x) const;
 
-  /// Read access to (sorted) raw values.
-  const std::vector<double>& sorted() const;
-
  private:
   void sort_if_needed() const;
 

@@ -4,6 +4,7 @@
 
 #include "brain/global_routing.h"
 #include "brain/ksp.h"
+#include "graph_builder.h"
 #include "routing_oracle.h"
 #include "util/rng.h"
 
@@ -13,16 +14,16 @@ namespace livenet::brain {
 namespace {
 
 RoutingGraph random_graph(std::size_t n, double density, Rng& rng) {
-  RoutingGraph g(n);
+  std::vector<TestEdge> edges;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b) continue;
       if (rng.chance(density)) {
-        g.set_weight(a, b, rng.uniform(1.0, 100.0));
+        edges.push_back({a, b, rng.uniform(1.0, 100.0)});
       }
     }
   }
-  return g;
+  return make_graph(n, edges);
 }
 
 double path_cost(const RoutingGraph& g, const std::vector<std::size_t>& p) {

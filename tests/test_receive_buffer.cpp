@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,13 +21,11 @@ using media::RtpPacketPtr;
 using media::Seq;
 using media::StreamId;
 
-// The hash map + FIFO SendHistory the seq rings replaced, kept verbatim
-// as the differential oracle: one (time, key) FIFO entry per record,
-// pruned from the front by age and by a global max_packets count.
+// The hash map + FIFO SendHistory the seq rings replaced, kept as the
+// differential oracle: one (time, key) FIFO entry per record, pruned
+// from the front by age.
 class ReferenceSendHistory {
  public:
-  explicit ReferenceSendHistory(const SendHistory::Config& cfg) : cfg_(cfg) {}
-
   void record(const RtpPacketPtr& pkt, Time now) {
     prune(now);
     const Key k{flow_id(pkt->stream_id(), pkt->is_audio()), pkt->seq};
@@ -69,9 +66,9 @@ class ReferenceSendHistory {
   }
 
   void prune(Time now) {
-    const Time cutoff = now >= cfg_.max_age ? now - cfg_.max_age : 0;
-    while (!fifo_.empty() && (fifo_.front().first < cutoff ||
-                              fifo_.size() > cfg_.max_packets)) {
+    const Time cutoff =
+        now >= SendHistory::kMaxAge ? now - SendHistory::kMaxAge : 0;
+    while (!fifo_.empty() && fifo_.front().first < cutoff) {
       const auto& [t, k] = fifo_.front();
       const auto it = by_key_.find(k);
       // Only erase if this FIFO entry is the latest record for the key
@@ -81,7 +78,6 @@ class ReferenceSendHistory {
     }
   }
 
-  SendHistory::Config cfg_;
   std::unordered_map<Key, std::pair<RtpPacketPtr, Time>, KeyHasher> by_key_;
   std::deque<std::pair<Time, Key>> fifo_;
 };
@@ -282,13 +278,12 @@ TEST(TortureReordering, ReceiveBufferAndGopCacheSurviveChaoticFeed) {
 }
 
 TEST(SendHistory, LookupAndExpiry) {
-  SendHistory::Config cfg;
-  cfg.max_age = 1 * kSec;
-  SendHistory hist(cfg);
+  SendHistory hist;
   auto p = pkt(1, 42);
   hist.record(p, 0);
   EXPECT_EQ(hist.lookup(1, false, 42, 500 * kMs), p);
-  EXPECT_EQ(hist.lookup(1, false, 42, 3 * kSec), nullptr);  // expired
+  EXPECT_EQ(hist.lookup(1, false, 42, SendHistory::kMaxAge), p);
+  EXPECT_EQ(hist.lookup(1, false, 42, SendHistory::kMaxAge + 1), nullptr);
 }
 
 TEST(SendHistory, ForgetStreamRemovesEntries) {
@@ -300,23 +295,37 @@ TEST(SendHistory, ForgetStreamRemovesEntries) {
   EXPECT_NE(hist.lookup(2, false, 1, 0), nullptr);
 }
 
-TEST(SendHistory, CapacityBounded) {
-  SendHistory::Config cfg;
-  cfg.max_age = 100 * kSec;
-  cfg.max_packets = 100;
-  SendHistory hist(cfg);
-  for (Seq s = 1; s <= 200; ++s) hist.record(pkt(1, s), static_cast<Time>(s));
-  EXPECT_LE(hist.size(), 101u);
-  EXPECT_EQ(hist.lookup(1, false, 1, 200), nullptr);    // evicted
-  EXPECT_NE(hist.lookup(1, false, 200, 200), nullptr);  // recent kept
+// Liveness is age alone: a burst of 120,000 records on two flows
+// within 2 s keeps every packet retrievable, however many there are.
+TEST(SendHistory, RecordsBeyondOldCountCapStayLive) {
+  SendHistory hist;
+  constexpr Seq kPerFlow = 60000;
+  std::vector<RtpPacketPtr> sent;
+  sent.reserve(2 * kPerFlow);
+  Time now = 0;
+  for (Seq s = 1; s <= kPerFlow; ++s) {
+    for (const StreamId stream : {StreamId{1}, StreamId{2}}) {
+      sent.push_back(pkt(stream, s));
+      hist.record(sent.back(), now);
+      now += 10 * kUs;
+    }
+  }
+  ASSERT_LT(now, 2 * kSec);
+  std::size_t i = 0;
+  for (Seq s = 1; s <= kPerFlow; ++s) {
+    for (const StreamId stream : {StreamId{1}, StreamId{2}}) {
+      ASSERT_EQ(hist.lookup(stream, false, s, now), sent[i++])
+          << "stream=" << stream << " seq=" << s;
+    }
+  }
+  EXPECT_EQ(hist.size(), 2 * kPerFlow);
 }
-
 
 TEST(SendHistory, SpanBeyondCapKeepsNewest) {
   // Two live seqs of one flow on the same slot of a ring at its cap
-  // (2^17 slots for the default max_packets): the newer record wins.
+  // (kMaxSlots): the newer record wins.
   SendHistory hist;
-  const Seq far = 5 + (Seq{1} << 17);
+  const Seq far = 5 + static_cast<Seq>(SendHistory::kMaxSlots);
   hist.record(pkt(1, 5), 0);
   hist.record(pkt(1, far), 0);
   EXPECT_EQ(hist.lookup(1, false, 5, 0), nullptr);
@@ -332,37 +341,20 @@ media::RtpPacketMut flow_pkt(StreamId s, bool audio, Seq seq) {
 // record / lookup / forget_stream calls over several streams, each with
 // an audio and a video flow: fresh seqs with layer-filtered gaps,
 // out-of-order and re-recorded seqs, bursts at one instant and clock
-// jumps across max_age. Every lookup must return the same packet.
-//
-// The oracle keys a FIFO entry by (time, key), so a seq re-recorded at
-// the very instant of its previous record is dropped when the *first*
-// of the two leaves the max_packets window; the ring counts the latest
-// record, as the oracle does whenever the two instants differ. The
-// generator therefore moves the clock on by 1 ns before such a
-// re-record (production never re-records a seq within one instant
-// while anywhere near 100000 records are live).
-void run_history_differential(Duration max_age, std::size_t max_packets,
-                              std::uint64_t seed) {
-  SCOPED_TRACE(testing::Message() << "max_age=" << max_age
-                                  << " max_packets=" << max_packets
-                                  << " seed=" << seed);
-  SendHistory::Config cfg;
-  cfg.max_age = max_age;
-  cfg.max_packets = max_packets;
-  SendHistory ring(cfg);
-  ReferenceSendHistory oracle(cfg);
+// jumps across kMaxAge. Every lookup must return the same packet.
+void run_history_differential(std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "seed=" << seed);
+  constexpr Duration kMaxAge = SendHistory::kMaxAge;
+  SendHistory ring;
+  ReferenceSendHistory oracle;
   Rng rng(seed);
   constexpr StreamId kStreams = 4;
   std::map<std::pair<StreamId, bool>, Seq> next_seq;
-  std::map<std::tuple<StreamId, bool, Seq>, Time> last_record;
   Time now = 0;
   std::size_t hits = 0;
   std::size_t misses = 0;
 
   const auto record = [&](StreamId s, bool audio, Seq seq) {
-    const auto [it, fresh] = last_record.try_emplace({s, audio, seq}, now);
-    if (!fresh && it->second == now) ++now;
-    it->second = now;
     const RtpPacketPtr p = flow_pkt(s, audio, seq);
     ring.record(p, now);
     oracle.record(p, now);
@@ -378,7 +370,7 @@ void run_history_differential(Duration max_age, std::size_t max_packets,
   for (int op = 0; op < 20000; ++op) {
     const double clock = rng.uniform();
     if (clock < 0.01) {
-      now += max_age + rng.uniform_int(-2, 2) * kMs;  // across max_age
+      now += kMaxAge + rng.uniform_int(-2, 2) * kMs;  // across kMaxAge
     } else if (clock < 0.5) {
       now += rng.uniform_int(1, 2 * kMs);
     }  // else: same instant (a burst)
@@ -415,20 +407,8 @@ void run_history_differential(Duration max_age, std::size_t max_packets,
 }
 
 TEST(SendHistoryDifferential, AgreesWithFifoOracle) {
-  struct Case {
-    Duration max_age;
-    std::size_t max_packets;
-  };
-  const Case cases[] = {
-      {2 * kSec, 100000},  // production config: age bounds the store
-      {40 * kMs, 100000},  // short age: most lookups miss
-      {2 * kSec, 50},      // the max_packets count binds
-      {30 * kMs, 7},       // both bind; a few entries live at a time
-  };
-  for (const Case& c : cases) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      run_history_differential(c.max_age, c.max_packets, seed);
-    }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    run_history_differential(seed);
   }
 }
 

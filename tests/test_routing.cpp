@@ -5,6 +5,7 @@
 #include "brain/global_routing.h"
 #include "brain/ksp.h"
 #include "brain/routing_graph.h"
+#include "graph_builder.h"
 
 namespace livenet::brain {
 namespace {
@@ -47,13 +48,8 @@ RoutingGraph diamond() {
   //  0     3     plus a direct slow edge 0->3
   //   \   /
   //     2
-  RoutingGraph g(4);
-  g.set_weight(0, 1, 10);
-  g.set_weight(1, 3, 10);
-  g.set_weight(0, 2, 12);
-  g.set_weight(2, 3, 12);
-  g.set_weight(0, 3, 50);
-  return g;
+  return make_graph(4, {{0, 1, 10}, {1, 3, 10}, {0, 2, 12}, {2, 3, 12},
+                        {0, 3, 50}});
 }
 
 TEST(Dijkstra, FindsShortestPath) {
@@ -64,8 +60,7 @@ TEST(Dijkstra, FindsShortestPath) {
 }
 
 TEST(Dijkstra, NoPathReturnsEmpty) {
-  RoutingGraph g(3);
-  g.set_weight(0, 1, 1);
+  const RoutingGraph g = make_graph(3, {{0, 1, 1}});
   EXPECT_TRUE(k_shortest_paths(g, 0, 2, 1).empty());
 }
 
@@ -87,12 +82,15 @@ TEST(Yen, ReturnsKDistinctPathsInCostOrder) {
 }
 
 TEST(Yen, PathsAreLoopless) {
-  RoutingGraph g(5);
+  std::vector<TestEdge> edges;
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
-      if (i != j) g.set_weight(i, j, 1.0 + static_cast<double>((i * 7 + j) % 5));
+      if (i != j) {
+        edges.push_back({i, j, 1.0 + static_cast<double>((i * 7 + j) % 5)});
+      }
     }
   }
+  const RoutingGraph g = make_graph(5, edges);
   const auto paths = k_shortest_paths(g, 0, 4, 5);
   for (const auto& p : paths) {
     std::set<std::size_t> seen(p.nodes.begin(), p.nodes.end());
@@ -101,9 +99,7 @@ TEST(Yen, PathsAreLoopless) {
 }
 
 TEST(Yen, FewerPathsWhenGraphIsSparse) {
-  RoutingGraph g(3);
-  g.set_weight(0, 1, 1);
-  g.set_weight(1, 2, 1);
+  const RoutingGraph g = make_graph(3, {{0, 1, 1}, {1, 2, 1}});
   const auto paths = k_shortest_paths(g, 0, 2, 3);
   EXPECT_EQ(paths.size(), 1u);
 }

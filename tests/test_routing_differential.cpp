@@ -1,7 +1,7 @@
 // Differential tests for the optimized Brain routing pipeline: the
 // CSR/workspace/batched-KSP implementation must be *bit-identical* to
 // the preserved reference implementation — same paths, same order, same
-// double costs — on a fresh module and on long-lived, warm-started ones.
+// double costs — on a fresh module and on long-lived ones.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "brain/global_routing.h"
 #include "brain/ksp.h"
 #include "brain/pib.h"
+#include "graph_builder.h"
 #include "routing_oracle.h"
 #include "util/rng.h"
 
@@ -187,12 +188,9 @@ TEST(KspDifferential, FirstPathMatchesReferenceTreeBitForBit) {
 
 TEST(KspTieBreak, EqualCostPathsComeBackInDeterministicOrder) {
   // Three exactly equal-cost routes 0->3: via 1, via 2, and direct.
-  RoutingGraph g(4);
-  g.set_weight(0, 1, 10.0);
-  g.set_weight(1, 3, 10.0);
-  g.set_weight(0, 2, 10.0);
-  g.set_weight(2, 3, 10.0);
-  g.set_weight(0, 3, 20.0);
+  const RoutingGraph g = make_graph(
+      4, {{0, 1, 10.0}, {1, 3, 10.0}, {0, 2, 10.0}, {2, 3, 10.0},
+          {0, 3, 20.0}});
   const auto first = k_shortest_paths(g, 0, 3, 3);
   const auto second = k_shortest_paths(g, 0, 3, 3);
   ASSERT_EQ(first.size(), 3u);
@@ -301,7 +299,7 @@ TEST(PibBuffer, SwapRoutesPreservesOverloadMarks) {
   EXPECT_EQ(*scratch.find(1, 2), (std::vector<overlay::Path>{{1, 2}}));
 }
 
-TEST(CsrView, MatchesDenseMatrixAndTracksMutation) {
+TEST(CsrView, MatchesDenseMatrixAcrossRebuilds) {
   ViewSpec spec;
   spec.n = 12;
   spec.link_prob = 0.5;
@@ -336,18 +334,31 @@ TEST(CsrView, MatchesDenseMatrixAndTracksMutation) {
     EXPECT_EQ(dense_edges, csr.edge_count());
   };
   check();
-  g.set_weight(0, 1, 123.0);  // mutation invalidates the cached view
-  g.set_weight(2, 3, RoutingGraph::kNoEdge);
+  // Each rebuild_from rebuilds the CSR view: one weight moved and one
+  // edge gone, then a smaller node set.
+  const std::size_t n = g.size();
+  std::vector<double> cells(g.row(0), g.row(0) + n * n);
+  cells[0 * n + 1] = 123.0;
+  cells[2 * n + 3] = RoutingGraph::kNoEdge;
+  g.rebuild_from(n, &cells);
   check();
   EXPECT_EQ(g.weight(0, 1), 123.0);
   EXPECT_FALSE(g.has_edge(2, 3));
+  const std::size_t m = 5;
+  cells.assign(m * m, RoutingGraph::kNoEdge);
+  cells[1 * m + 4] = 7.0;
+  cells[4 * m + 0] = 9.0;
+  g.rebuild_from(m, &cells);
+  check();
+  EXPECT_EQ(g.size(), m);
+  EXPECT_EQ(g.csr().edge_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // Parallel Brain: the thread-pooled fan-out must be byte-identical to
-// the threads=1 inline path (and hence, transitively, to the preserved
-// reference pipeline) for every thread count — the ordered merge is the
-// only thing standing between worker scheduling and the installed PIB.
+// the preserved reference pipeline for every thread count — the ordered
+// merge is the only thing standing between worker scheduling and the
+// installed PIB.
 
 TEST(ThreadSweep, FullRecomputeBitIdenticalAcrossThreadCounts) {
   std::vector<PibCase> cases;
@@ -402,10 +413,10 @@ TEST(ThreadSweep, FullRecomputeBitIdenticalAcrossThreadCounts) {
 TEST(ThreadSweep, ChurnSequenceBitIdenticalAcrossThreadCounts) {
   // One long-lived module per thread count, each fed an identical view
   // and an identical churn sequence, so the per-worker solvers are
-  // warm-started from cycle to cycle. Every cycle's installed PIB must
-  // match the threads=1 instance and a from-scratch reference solve —
-  // including the untouched cycles, where the graph version does not
-  // move and the solvers reuse last cycle's tree caches.
+  // rebound from cycle to cycle with their allocations kept. Every
+  // cycle's installed PIB must match the threads=1 instance and a
+  // from-scratch reference solve — including the untouched cycles,
+  // which rebuild the same graph and re-solve it from cold trees.
   const int n = 12;
   const std::vector<std::size_t> sweep{1, 2, 4, 8};
   ViewSpec spec;

@@ -46,13 +46,12 @@ class Opaque final : public Message {
 
 // ---------------------------------------------------------- route miss
 
-TEST(RouteMiss, StrictPolicyReasonCodesWithoutAborting) {
+TEST(RouteMiss, ReasonCodesWithoutAborting) {
   EventLoop loop;
   Network net(&loop);
   Recorder a, b;
   const NodeId ida = net.add_node(&a);
   const NodeId idb = net.add_node(&b);
-  ASSERT_EQ(net.route_miss_policy(), Network::RouteMissPolicy::kStrict);
 
   const SendResult r = net.send_ex(ida, idb, make_message<Ping>());
   EXPECT_FALSE(r.delivered);
@@ -77,13 +76,12 @@ TEST(RouteMiss, StrictPolicyReasonCodesWithoutAborting) {
   EXPECT_EQ(b.received, 1u);
 }
 
-TEST(RouteMiss, LenientPolicyCountsIdentically) {
+TEST(RouteMiss, RepeatedMissesEachCount) {
   EventLoop loop;
   Network net(&loop);
   Recorder a, b;
   const NodeId ida = net.add_node(&a);
   const NodeId idb = net.add_node(&b);
-  net.set_route_miss_policy(Network::RouteMissPolicy::kLenient);
 
   for (int i = 0; i < 5; ++i) {
     const SendResult r = net.send_ex(ida, idb, make_message<Ping>());
