@@ -117,19 +117,6 @@ BENCHMARK(BM_GlobalRoutingRecomputeK1)
     ->Arg(120)->Arg(240)->Arg(600)
     ->Unit(benchmark::kMillisecond);
 
-void BM_YenKsp(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const GlobalDiscovery view = make_view(n, 11);
-  const auto nodes = make_nodes(n);
-  GlobalRouting routing;
-  const RoutingGraph g = routing.build_graph(view, nodes);
-  for (auto _ : state) {
-    const auto paths = k_shortest_paths(g, 0, static_cast<std::size_t>(n) - 1, 3);
-    benchmark::DoNotOptimize(paths.size());
-  }
-}
-BENCHMARK(BM_YenKsp)->Arg(20)->Arg(60)->Arg(120);
-
 void BM_LinkWeight(benchmark::State& state) {
   LinkState ls;
   ls.rtt = 80 * livenet::kMs;

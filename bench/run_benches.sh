@@ -24,13 +24,13 @@ asan_dir="${BENCH_ASAN_DIR:-${repo_root}/build-asan}"
 
 # ------------------------------------------------------------- verify step
 # Before trusting the numbers, prove the code they measure is sound:
-# an AddressSanitizer smoke of the chaos tests (node crash mid-burst /
-# mid-lookup, stream release with lookups in flight) plus the data-plane
-# chain smoke (bench_smoke_dataplane_chain: BM_EndToEndForward, the
-# per-packet delivery + pacer path on a saturated 600-node chain). A
-# dangling linger/report/retry event touching freed engine state dies
-# loudly here long before it would skew a benchmark. Skip with
-# BENCH_SKIP_ASAN=1.
+# an AddressSanitizer + UBSan smoke of the chaos tests (node crash
+# mid-burst / mid-lookup, stream release with lookups in flight) plus the
+# data-plane chain smoke (bench_smoke_dataplane_chain:
+# BM_EndToEndForward, the per-packet delivery + pacer path on a
+# saturated 600-node chain). A dangling linger/report/retry event
+# touching freed engine state dies loudly here long before it would
+# skew a benchmark. Skip with BENCH_SKIP_ASAN=1.
 #
 # repro_recovery rides along (bench_smoke_recovery): the loss-recovery
 # tier exercises FEC group state, the GoP caches of standby suppliers,
@@ -42,17 +42,26 @@ asan_dir="${BENCH_ASAN_DIR:-${repo_root}/build-asan}"
 # layer filter, the chained prev_link_seq vouchers, sparse FEC groups,
 # and the NackVoid answer path — all of it bookkeeping over shared
 # per-link state that ASan should see churn.
+#
+# The leg builds with UndefinedBehaviorSanitizer too, fatal on first
+# report, and adds the event-loop, sharded-sim and receive-buffer
+# suites: the timing wheel's bucket, bitmap and slot-index arithmetic
+# (shifts, masks, countr_zero, cyclic bucket distance) runs there under
+# UBSan, the sharded runtime drives one loop per shard across barrier
+# windows, and the send history's rings hold body references whose
+# packets are already freed.
 if [[ "${BENCH_SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B "${asan_dir}" -S "${repo_root}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" >&2
+      -DLIVENET_SANITIZE=address,undefined \
+      -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined" >&2
   cmake --build "${asan_dir}" -j \
-      --target test_node_failure test_stream_context micro_dataplane \
+      --target test_node_failure test_stream_context test_event_loop \
+               test_sharded_sim test_receive_buffer micro_dataplane \
                repro_recovery repro_svc >&2
   (cd "${asan_dir}" && ctest --output-on-failure \
-      -R 'test_node_failure|test_stream_context|bench_smoke_dataplane_chain|bench_smoke_recovery|bench_smoke_svc') >&2
-  echo "verify: ASan chaos + recovery-tier + SVC-tier + data-plane chain smoke passed" >&2
+      -R 'test_node_failure|test_stream_context|test_event_loop|test_sharded_sim|test_receive_buffer|bench_smoke_dataplane_chain|bench_smoke_recovery|bench_smoke_svc') >&2
+  echo "verify: ASan + UBSan chaos + recovery-tier + SVC-tier + event-loop + sharded-sim + receive-buffer + data-plane chain smoke passed" >&2
 fi
 
 # ThreadSanitizer smoke of the sharded runtime (-DLIVENET_SANITIZE=thread):

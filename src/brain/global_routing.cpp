@@ -31,14 +31,7 @@ struct SolveCtx {
   std::size_t lr_count = 0;
 };
 
-/// Output of one source solve: everything the ordered install phase
-/// needs to replay the source's Pib writes.
-struct SourceOutput {
-  std::vector<std::vector<overlay::Path>> kept_by_dst;  ///< size n
-  std::vector<std::uint32_t> fallback;  ///< relay index; lr_count = none
-  std::size_t paths_installed = 0;
-  std::size_t last_resort_pairs = 0;
-};
+using SourceOutput = GlobalRouting::SourceOutput;
 
 /// Solves every destination for source `a` into `out`: each
 /// destination's kept paths plus its fallback-relay choice.
@@ -216,12 +209,12 @@ GlobalRouting::Result GlobalRouting::recompute(
   // Fan-out: worker w takes sources w, w + T, ... Every source is an
   // independent subproblem over the shared read-only cycle state;
   // outputs are buffered per source and merged below.
-  std::vector<SourceOutput> outputs(n);
+  outputs_.resize(n);
   const std::size_t num_workers = pool_->size();
   pool_->run([&](std::size_t w) {
     std::vector<double> lr_from;
     for (std::size_t a = w; a < n; a += num_workers) {
-      solve_source(ctx, workers_[w], a, lr_from, outputs[a]);
+      solve_source(ctx, workers_[w], a, lr_from, outputs_[a]);
     }
   });
   res.sources_solved = n;
@@ -236,7 +229,7 @@ GlobalRouting::Result GlobalRouting::recompute(
   // Ordered merge: ascending source index, ascending destination, hence
   // byte-identical Pib contents for any thread count.
   for (std::size_t a = 0; a < n; ++a) {
-    SourceOutput& o = outputs[a];
+    SourceOutput& o = outputs_[a];
     for (std::size_t b = 0; b < n; ++b) {
       if (a == b) continue;
       scratch_.set_paths(nodes[a], nodes[b], std::move(o.kept_by_dst[b]));
@@ -249,6 +242,7 @@ GlobalRouting::Result GlobalRouting::recompute(
     }
     res.paths_installed += o.paths_installed;
     res.last_resort_pairs += o.last_resort_pairs;
+    o = SourceOutput{};  // free this source's n shells now
   }
 
   pib->swap_routes(&scratch_);

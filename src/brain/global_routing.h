@@ -32,7 +32,8 @@
 // order — so the installed routes are byte-for-byte identical for ANY
 // thread count. The weight graph and the per-worker solvers live
 // across cycles and keep their allocations; every cycle rebuilds the
-// graph and the solvers' trees from the fresh view.
+// graph and the solvers' trees from the fresh view. The per-source
+// outputs are freed one source at a time as the merge consumes them.
 namespace livenet::brain {
 
 struct GlobalRoutingConfig {
@@ -61,6 +62,15 @@ class GlobalRouting {
     double graph_build_ms = 0.0;
     double solve_ms = 0.0;
     double install_ms = 0.0;
+  };
+
+  /// Output of one source solve: everything the ordered install phase
+  /// needs to replay the source's Pib writes.
+  struct SourceOutput {
+    std::vector<std::vector<overlay::Path>> kept_by_dst;  ///< size n
+    std::vector<std::uint32_t> fallback;  ///< relay index; lr_count = none
+    std::size_t paths_installed = 0;
+    std::size_t last_resort_pairs = 0;
   };
 
   GlobalRouting() : GlobalRouting(GlobalRoutingConfig()) {}
@@ -105,6 +115,11 @@ class GlobalRouting {
   std::vector<std::uint8_t> node_over_;
   std::vector<std::uint8_t> link_over_;
   std::vector<double> lr_to_;
+  /// One entry per source. The install phase frees each source's
+  /// buffers as soon as it is merged, so between cycles this holds n
+  /// empty shells, and during the merge the solved pairs move into
+  /// scratch_ instead of piling up next to it.
+  std::vector<SourceOutput> outputs_;
 
   // Parallel fan-out: one solver per worker (index-aligned with the
   // pool's worker ids), created on first use, rebound every cycle.

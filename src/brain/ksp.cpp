@@ -151,22 +151,6 @@ void extract_path(const std::uint32_t* prev, std::size_t src,
 
 }  // namespace
 
-std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
-                                           std::size_t src, std::size_t dst,
-                                           std::size_t k) {
-  std::vector<WeightedPath> out;
-  if (k == 0 || src >= g.size() || dst >= g.size()) return out;
-  KspSolver solver(g);
-  solver.set_source(src);
-  const std::size_t cnt = solver.k_shortest_scratch(dst, k);
-  out.reserve(cnt);
-  for (std::size_t i = 0; i < cnt; ++i) {
-    out.push_back(WeightedPath{solver.accepted_nodes(i),
-                               solver.accepted_cost(i)});
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // KspSolver.
 

@@ -16,8 +16,7 @@
 // Dijkstra over the graph's CSR view (DijkstraWorkspace) plus a
 // per-source batched Yen that shares one forward shortest-path tree
 // across every destination and caches per-node trees for spur
-// stitching. GlobalRouting runs it; k_shortest_paths() is a one-shot
-// wrapper for a single pair.
+// stitching. GlobalRouting runs it.
 //
 // The original per-pair heap implementation lives in the test tree as
 // `*_reference` (tests/routing_oracle.h), the oracle of the
@@ -32,13 +31,6 @@ struct WeightedPath {
   std::vector<std::size_t> nodes;  ///< src..dst inclusive
   double cost = 0.0;
 };
-
-/// Yen's K shortest loopless paths for one pair, on a fresh KspSolver.
-/// Returns up to k paths sorted by cost (fewer if the graph does not
-/// admit k distinct paths).
-std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
-                                           std::size_t src, std::size_t dst,
-                                           std::size_t k);
 
 /// Reusable buffers for the array-based Dijkstra core: per-pair and
 /// per-spur calls stop allocating once the workspace has been sized to

@@ -25,11 +25,11 @@
 //     fragment geometry, payload size, capture timestamp. Immutable
 //     after packetization and shared across every hop and subscriber
 //     via a non-atomic intrusive refcount.
-//   - the per-hop trailer (the RtpPacket object itself): the fields a
+//   - HopTrailer, the RtpPacket's plain-data base: the fields a
 //     forwarding hop rewrites — delay extension, hop count, RTX flag,
-//     client-facing sequence number, pacer send timestamp. ~48 B,
-//     pool-allocated, copied per subscriber in lieu of a header
-//     rewrite on a real wire packet.
+//     client-facing sequence number, pacer send timestamp. 48 B,
+//     pool-allocated with the packet, copied per subscriber in lieu of
+//     a header rewrite on a real wire packet.
 // fork() is the fan-out primitive: a new trailer sharing the same
 // body. Copying an RtpPacket never copies its body; RtpBody's copy
 // constructor counts invocations so tests can assert the fast path
@@ -219,15 +219,13 @@ class RtpPacket;
 using RtpPacketMut = sim::IntrusivePtr<RtpPacket>;
 using RtpPacketPtr = sim::IntrusivePtr<const RtpPacket>;
 
-class RtpPacket final : public sim::Message {
- public:
-  // ---- Per-hop trailer: owned (and rewritten) by each hop. ----
+/// Per-hop trailer: the fields a forwarding hop owns and rewrites.
+/// Plain data, so SendHistory keeps it by value next to the shared
+/// body and rebuilds an equal packet when a NACK asks for one.
+struct HopTrailer {
   Seq seq = 0;                ///< as sent on this hop (client-facing seq
                               ///< rewrite happens at the edge)
   Duration delay_ext_us = 0;  ///< accumulated delay header extension
-  bool is_rtx = false;        ///< retransmission of an earlier packet
-  bool fec_recovered = false; ///< reconstructed from a parity group at
-                              ///< this hop (never crossed the wire)
   /// Layer-filtered links are sparse in producer-seq space: the sender
   /// stamps the previous producer seq it forwarded on this hop, so the
   /// receive buffer treats the gap (prev_link_seq, producer_seq) as
@@ -238,7 +236,6 @@ class RtpPacket final : public sim::Message {
   // Measurement fields (stand-ins for per-hop log correlation in the
   // production system; they do not influence forwarding decisions).
   Time cdn_ingress_time = kNever;  ///< producer stamped CDN entry time
-  std::uint8_t cdn_hops = 0;       ///< overlay hops traversed so far
 
   /// Per-hop departure timestamp used by the receiver-side GCC delay
   /// estimator (the abs-send-time RTP extension in WebRTC). Mutable
@@ -246,6 +243,16 @@ class RtpPacket final : public sim::Message {
   /// by then each hop's trailer is owned by exactly one sender pipeline.
   mutable Time hop_send_time = kNever;
 
+  bool is_rtx = false;         ///< retransmission of an earlier packet
+  bool fec_recovered = false;  ///< reconstructed from a parity group at
+                               ///< this hop (never crossed the wire)
+  std::uint8_t cdn_hops = 0;   ///< overlay hops traversed so far
+
+  bool operator==(const HopTrailer&) const = default;
+};
+
+class RtpPacket final : public sim::Message, public HopTrailer {
+ public:
   /// Builds a fresh producer packet: pools the body, seeds the trailer
   /// seq from the body seq.
   static RtpPacketMut make(RtpBody body) {
@@ -271,6 +278,12 @@ class RtpPacket final : public sim::Message {
     copy->delay_ext_us += added_delay;
     return copy;
   }
+
+  /// This hop's trailer fields.
+  const HopTrailer& trailer() const { return *this; }
+  /// A counted reference to the body, for stores that outlive the
+  /// packet (SendHistory).
+  const BodyRef& body_ref() const { return body_; }
 
   // ---- Shared-body accessors. ----
   /// The shared immutable body (FEC encoders aggregate its fields).
@@ -328,17 +341,8 @@ class RtpPacket final : public sim::Message {
   /// trailer. transfer_safe() stays false for the same reason: even a
   /// sole-reference trailer may share its body with the sending shard.
   sim::IntrusivePtr<const sim::Message> clone_message() const override {
-    RtpPacketMut copy =
-        sim::make_message<RtpPacket>(BodyRef(util::pool_new<RtpBody>(*body_)));
-    copy->seq = seq;
-    copy->delay_ext_us = delay_ext_us;
-    copy->is_rtx = is_rtx;
-    copy->fec_recovered = fec_recovered;
-    copy->prev_link_seq = prev_link_seq;
-    copy->cdn_ingress_time = cdn_ingress_time;
-    copy->cdn_hops = cdn_hops;
-    copy->hop_send_time = hop_send_time;
-    return copy;
+    return sim::make_message<RtpPacket>(
+        BodyRef(util::pool_new<RtpBody>(*body_)), trailer());
   }
 
   /// Trailer copy sharing the body (make_message / fork use this; a
@@ -348,6 +352,11 @@ class RtpPacket final : public sim::Message {
   explicit RtpPacket(BodyRef body) : body_(std::move(body)) {
     seq = body_->seq;
   }
+
+  /// A packet with the given body and trailer: the shard-boundary clone
+  /// and SendHistory's rebuilt retransmission source.
+  RtpPacket(BodyRef body, const HopTrailer& trailer)
+      : HopTrailer(trailer), body_(std::move(body)) {}
 
  private:
   BodyRef body_;

@@ -1,8 +1,25 @@
 #include "sim/event_loop.h"
 
+#include <bit>
+#include <limits>
+
 #include "util/logging.h"
 
 namespace livenet::sim {
+
+namespace {
+
+constexpr Time kForever = std::numeric_limits<Time>::max();
+
+std::uint32_t bucket_of(Time when) {
+  return static_cast<std::uint32_t>(when) &
+         static_cast<std::uint32_t>(EventLoop::kWheelSpan - 1);
+}
+
+}  // namespace
+
+EventLoop::EventLoop()
+    : heads_(new std::uint32_t[kBuckets]), words_(kWords, 0) {}
 
 std::uint32_t EventLoop::acquire_slot() {
   if (free_slots_.empty()) {
@@ -20,13 +37,73 @@ std::uint32_t EventLoop::acquire_slot() {
   return slot;
 }
 
-void EventLoop::release_slot(std::uint32_t slot) {
-  // Bump the generation so every outstanding handle/queue entry for
-  // this slot is now stale. Generations are per-slot, 32-bit; skipping
-  // 0 keeps (gen << 32 | slot) != kInvalidEvent even for slot 0.
+void EventLoop::append(std::uint32_t bucket, std::uint32_t slot) {
   Node& n = node(slot);
-  if (++n.gen == 0) n.gen = 1;
-  free_slots_.push_back(slot);
+  n.next = kNil;
+  const std::uint32_t w = bucket >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (bucket & 63);
+  if ((words_[w] & bit) == 0) {
+    if (words_[w] == 0) summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
+    words_[w] |= bit;
+    heads_[bucket] = slot;
+    n.tail = slot;
+  } else {
+    Node& head = node(heads_[bucket]);
+    node(head.tail).next = slot;
+    head.tail = slot;
+  }
+  ++wheel_count_;
+}
+
+std::uint32_t EventLoop::pop_head(std::uint32_t bucket) {
+  const std::uint32_t slot = heads_[bucket];
+  const Node& n = node(slot);
+  if (n.next == kNil) {
+    const std::uint32_t w = bucket >> 6;
+    words_[w] &= ~(std::uint64_t{1} << (bucket & 63));
+    if (words_[w] == 0) summary_[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
+  } else {
+    heads_[bucket] = n.next;
+    node(n.next).tail = n.tail;
+  }
+  --wheel_count_;
+  return slot;
+}
+
+std::uint32_t EventLoop::next_bucket() const {
+  // First non-empty bucket at or after now's, wrapping once: the wheel
+  // holds [now, now + kWheelSpan), so cyclic bucket order is time order.
+  const std::uint32_t p = bucket_of(now_);
+  const std::uint32_t w = p >> 6;
+  const std::uint64_t here = words_[w] & (~std::uint64_t{0} << (p & 63));
+  if (here != 0) return (w << 6) | std::countr_zero(here);
+  // First non-empty word in [from, kWords), or kWords.
+  const auto first_word = [this](std::uint32_t from) {
+    for (std::uint32_t s = from >> 6; s < kWords / 64; ++s) {
+      std::uint64_t bits = summary_[s];
+      if (s == from >> 6) bits &= ~std::uint64_t{0} << (from & 63);
+      if (bits != 0) return (s << 6) | std::countr_zero(bits);
+    }
+    return kWords;
+  };
+  std::uint32_t next = first_word(w + 1);
+  if (next == kWords) next = first_word(0);
+  return (next << 6) | std::countr_zero(words_[next]);
+}
+
+void EventLoop::advance(Time t) {
+  now_ = t;
+  // Pull in every overflow event the window now covers, in (when, seq)
+  // order, before anything can be scheduled at the new time.
+  while (!overflow_.empty() && overflow_.top().when - now_ < kWheelSpan) {
+    const Entry e = overflow_.top();
+    overflow_.pop();
+    if (node(e.slot).cb) {
+      append(bucket_of(e.when), e.slot);
+    } else {
+      free_slots_.push_back(e.slot);  // cancelled while parked
+    }
+  }
 }
 
 EventId EventLoop::schedule_at(Time when, Callback cb) {
@@ -34,7 +111,12 @@ EventId EventLoop::schedule_at(Time when, Callback cb) {
   const std::uint32_t slot = acquire_slot();
   Node& n = node(slot);
   n.cb = std::move(cb);
-  queue_.push(Entry{when, next_seq_++, slot, n.gen});
+  const std::uint64_t seq = next_seq_++;
+  if (when - now_ < kWheelSpan) {
+    append(bucket_of(when), slot);
+  } else {
+    overflow_.push(Entry{when, seq, slot});
+  }
   ++live_count_;
   if (live_count_ > peak_live_) peak_live_ = live_count_;
   return (static_cast<EventId>(n.gen) << 32) | slot;
@@ -51,63 +133,65 @@ void EventLoop::cancel(EventId id) {
   const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= chunks_.size() * kChunkSize) return;
   Node& n = node(slot);
-  if (n.gen != gen) return;  // already ran or already cancelled
-  n.cb.reset();              // release captures *now*
-  release_slot(slot);
+  if (n.gen != gen) return;  // already ran, running, or cancelled
+  // Kill the handle first so a capture's destructor cancelling this
+  // same event again is a no-op. Generations are per-slot, 32-bit;
+  // skipping 0 keeps (gen << 32 | slot) != kInvalidEvent for slot 0.
+  if (++n.gen == 0) n.gen = 1;
+  n.cb.reset();  // release captures *now*
   --live_count_;
-  // The queue entry stays behind as a zombie; prune()/dispatch drop it
-  // when it reaches the top, recognising the stale generation.
-  ++zombies_;
+  // The emptied node stays queued; its slot is freed when it surfaces.
 }
 
-void EventLoop::prune() {
-  // Zombies exist only after a cancel(); the counter lets the hot
-  // dispatch path skip the slab lookup entirely.
-  if (zombies_ == 0) return;
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (node(top.slot).gen == top.gen) break;
-    queue_.pop();
-    --zombies_;
+bool EventLoop::dispatch_next(Time limit) {
+  for (;;) {
+    if (wheel_count_ == 0) {
+      while (!overflow_.empty() && !node(overflow_.top().slot).cb) {
+        free_slots_.push_back(overflow_.top().slot);
+        overflow_.pop();
+      }
+      if (overflow_.empty() || overflow_.top().when > limit) return false;
+      advance(overflow_.top().when);
+      continue;
+    }
+    const std::uint32_t b = next_bucket();
+    const Time when = now_ + ((b - bucket_of(now_)) & kBucketMask);
+    if (when > limit) return false;
+    const std::uint32_t slot = pop_head(b);
+    Node& n = node(slot);
+    if (!n.cb) {  // cancelled
+      free_slots_.push_back(slot);
+      continue;
+    }
+    if (when != now_) advance(when);
+    Logger::set_now(now_);
+    // Run in place: the slot stays off the free list until the call
+    // returns, so the callback may schedule (growing the slab) or
+    // cancel freely; its own handle is already stale.
+    if (++n.gen == 0) n.gen = 1;
+    --live_count_;
+    ++dispatched_;
+    n.cb();
+    n.cb.reset();
+    free_slots_.push_back(slot);
+    return true;
   }
-}
-
-bool EventLoop::dispatch_next() {
-  prune();
-  if (queue_.empty()) return false;
-  const Entry top = queue_.top();
-  queue_.pop();
-  Node& n = node(top.slot);
-  // Move the callback out before releasing the slot: the callback may
-  // itself schedule (reusing this slot) or cancel other events.
-  Callback cb = std::move(n.cb);
-  n.cb.reset();
-  release_slot(top.slot);
-  --live_count_;
-  now_ = top.when;
-  Logger::set_now(now_);
-  ++dispatched_;
-  cb();
-  return true;
 }
 
 void EventLoop::run_until(Time until_time) {
-  for (;;) {
-    prune();
-    if (queue_.empty() || queue_.top().when > until_time) break;
-    dispatch_next();
+  while (dispatch_next(until_time)) {
   }
   if (now_ < until_time) {
-    now_ = until_time;
+    advance(until_time);
     Logger::set_now(now_);
   }
 }
 
 void EventLoop::run() {
-  while (dispatch_next()) {
+  while (dispatch_next(kForever)) {
   }
 }
 
-bool EventLoop::step() { return dispatch_next(); }
+bool EventLoop::step() { return dispatch_next(kForever); }
 
 }  // namespace livenet::sim

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <typeinfo>
 #include <utility>
 
 #include "util/pool.h"
@@ -213,11 +214,16 @@ auto make_message(Args&&... args) {
   return IntrusivePtr<T>(p);
 }
 
-/// dynamic_cast across IntrusivePtr (replacement for
-/// std::dynamic_pointer_cast in receiver dispatch switches).
+/// Checked downcast across IntrusivePtr for receiver dispatch; null
+/// when `m` is null or not a To. Every message type is `final` (checked
+/// at compile time), so an exact typeid compare decides and the cast is
+/// static — no walk of the class hierarchy per packet.
 template <typename To, typename From>
 IntrusivePtr<To> msg_cast(const IntrusivePtr<From>& m) {
-  return IntrusivePtr<To>(dynamic_cast<To*>(m.get()));
+  static_assert(std::is_final_v<std::remove_cv_t<To>>,
+                "message types must be final");
+  if (m == nullptr || typeid(*m) != typeid(To)) return {};
+  return IntrusivePtr<To>(static_cast<To*>(m.get()));
 }
 
 inline IntrusivePtr<const Message> Message::clone_message() const {

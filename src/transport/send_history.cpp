@@ -28,13 +28,13 @@ void SendHistory::record(const media::RtpPacketPtr& pkt, Time now) {
   if (r.held == 0) r.lo = r.hi = seq;
 
   Slot* s = &r.slots[seq & (r.slots.size() - 1)];
-  while (s->pkt && s->seq != seq && live(*s, cut) &&
+  while (s->body && s->hop.seq != seq && live(*s, cut) &&
          r.slots.size() < kMaxSlots) {
     grow(r, cut);
     s = &r.slots[seq & (r.slots.size() - 1)];
   }
-  if (!s->pkt) ++r.held;
-  *s = Slot{seq, now, pkt};
+  if (!s->body) ++r.held;
+  *s = Slot{now, pkt->body_ref(), pkt->trailer()};
   r.lo = std::min(r.lo, seq);
   r.hi = std::max(r.hi, seq + 1);
 }
@@ -46,8 +46,8 @@ media::RtpPacketPtr SendHistory::lookup(media::StreamId stream, bool audio,
   const Ring& r = (*flow)[audio ? 1 : 0];
   if (r.slots.empty()) return nullptr;
   const Slot& s = r.slots[seq & (r.slots.size() - 1)];
-  if (s.seq != seq || !live(s, cutoff(now))) return nullptr;
-  return s.pkt;
+  if (s.hop.seq != seq || !live(s, cutoff(now))) return nullptr;
+  return sim::make_message<media::RtpPacket>(s.body, s.hop);
 }
 
 void SendHistory::forget_stream(media::StreamId stream) {
@@ -74,9 +74,9 @@ void SendHistory::expire(Ring& r, Time cutoff) {
   const std::size_t mask = r.slots.size() - 1;
   while (r.held > 0) {
     Slot& s = r.slots[r.lo & mask];
-    if (s.pkt && s.seq == r.lo) {
+    if (s.body && s.hop.seq == r.lo) {
       if (live(s, cutoff)) return;
-      s.pkt.reset();
+      s.body = {};
       --r.held;
     } else if (r.hi - r.lo > r.slots.size()) {
       // The held seqs span more than the ring: stepping seq by seq
@@ -91,11 +91,11 @@ void SendHistory::expire(Ring& r, Time cutoff) {
 void SendHistory::rescan(Ring& r, Time cutoff) {
   media::Seq lo = r.hi;
   for (Slot& s : r.slots) {
-    if (!s.pkt) continue;
+    if (!s.body) continue;
     if (live(s, cutoff)) {
-      lo = std::min(lo, s.seq);
+      lo = std::min(lo, s.hop.seq);
     } else {
-      s.pkt.reset();
+      s.body = {};
       --r.held;
     }
   }
@@ -108,9 +108,9 @@ void SendHistory::grow(Ring& r, Time cutoff) {
   // Live entries never collide after doubling: distinct residues
   // modulo n stay distinct modulo 2n.
   for (Slot& s : r.slots) {
-    if (!s.pkt) continue;
+    if (!s.body) continue;
     if (live(s, cutoff)) {
-      bigger[s.seq & mask] = std::move(s);
+      bigger[s.hop.seq & mask] = std::move(s);
     } else {
       --r.held;
     }

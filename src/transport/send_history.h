@@ -15,7 +15,11 @@
 //
 // Each flow (stream + audio/video) keeps a power-of-two ring indexed by
 // `seq & mask`; a slot is tagged with its seq, so record and lookup are
-// one slot access. An entry is live while it is younger than kMaxAge.
+// one slot access. A slot holds what a retransmission needs, not the
+// hop's packet: the send time, a reference to the shared body and the
+// hop's trailer by value (64 B). The sent packet itself is freed as
+// soon as the wire is done with it, and lookup() rebuilds a packet equal
+// to the one recorded (same body, same trailer fields). An entry is live while it is younger than kMaxAge.
 // A record that lands on a different seq's live entry doubles the ring
 // instead of overwriting it, so sparse (layer-filtered) and
 // out-of-order seqs lose nothing; only a flow whose live seqs span more
@@ -42,6 +46,8 @@ class SendHistory {
   void record(const media::RtpPacketPtr& pkt, Time now);
 
   /// Looks up a packet for retransmission; nullptr if expired/unknown.
+  /// The result is a new packet sharing the recorded packet's body, with
+  /// the trailer fields it had when recorded.
   media::RtpPacketPtr lookup(media::StreamId stream, bool audio,
                              media::Seq seq, Time now);
 
@@ -54,9 +60,9 @@ class SendHistory {
 
  private:
   struct Slot {
-    media::Seq seq = 0;
     Time sent = 0;
-    media::RtpPacketPtr pkt;  ///< null: empty slot
+    media::BodyRef body;    ///< null: empty slot
+    media::HopTrailer hop;  ///< hop.seq tags the slot
   };
   struct Ring {
     std::vector<Slot> slots;  ///< empty until the flow's first record
@@ -71,7 +77,7 @@ class SendHistory {
     return now >= kMaxAge ? now - kMaxAge : 0;
   }
   static bool live(const Slot& s, Time cutoff) {
-    return s.pkt && s.sent >= cutoff;
+    return s.body && s.sent >= cutoff;
   }
   FlowRings* find(media::StreamId stream);
   void expire(Ring& r, Time cutoff);

@@ -16,7 +16,9 @@
 // cycle, preserved verbatim. The production pipeline in src/brain must
 // reproduce them bit for bit (same paths, same order, same double
 // costs); the differential tests assert that and the routing
-// microbenchmark times them for like-for-like speedups.
+// microbenchmark times them for like-for-like speedups. Also here:
+// k_shortest_paths(), a one-pair wrapper over the production solver
+// that only tests call.
 namespace livenet::brain {
 
 std::optional<WeightedPath> shortest_path_reference(
@@ -43,6 +45,14 @@ std::vector<WeightedPath> k_shortest_paths_reference(const RoutingGraph& g,
                                                      std::size_t src,
                                                      std::size_t dst,
                                                      std::size_t k);
+
+/// Yen's K shortest loopless paths for one pair, solved by the
+/// production KspSolver on a fresh solver (the one-shot form the unit
+/// and differential tests query). Returns up to k paths sorted by cost
+/// (fewer if the graph does not admit k distinct paths).
+std::vector<WeightedPath> k_shortest_paths(const RoutingGraph& g,
+                                           std::size_t src, std::size_t dst,
+                                           std::size_t k);
 
 /// One Global Routing cycle solved pair by pair with the reference KSP:
 /// GlobalRouting(cfg).recompute() on a fresh Pib must install

@@ -277,13 +277,64 @@ TEST(TortureReordering, ReceiveBufferAndGopCacheSurviveChaoticFeed) {
   EXPECT_EQ(cache.find_packet(kStream, kTotal + 1), nullptr);
 }
 
+// SendHistory keeps a body reference and the trailer, not the packet:
+// a lookup must return a packet sharing the recorded one's body, with
+// every HopTrailer field as it was when recorded. Both null also agree.
+testing::AssertionResult same_packet(const RtpPacketPtr& got,
+                                     const RtpPacketPtr& want) {
+  if (!got || !want) {
+    if (!got && !want) return testing::AssertionSuccess();
+    return testing::AssertionFailure()
+           << (got ? "unexpected packet" : "missing packet");
+  }
+  if (&got->body() != &want->body()) {
+    return testing::AssertionFailure() << "different body";
+  }
+  if (!(got->trailer() == want->trailer())) {
+    return testing::AssertionFailure() << "trailer differs";
+  }
+  return testing::AssertionSuccess();
+}
+
+// Gives every trailer field but seq a value its default does not have,
+// so a rebuilt packet that dropped one shows.
+void stamp_trailer(const media::RtpPacketMut& p, Time now) {
+  p->delay_ext_us = 1234 + static_cast<Duration>(p->seq % 97);
+  p->prev_link_seq = p->seq - 1;
+  p->cdn_ingress_time = now - 5;
+  p->hop_send_time = now + 7;
+  p->is_rtx = p->seq % 2 == 0;
+  p->fec_recovered = p->seq % 3 == 0;
+  p->cdn_hops = static_cast<std::uint8_t>(1 + p->seq % 4);
+}
+
 TEST(SendHistory, LookupAndExpiry) {
   SendHistory hist;
-  auto p = pkt(1, 42);
+  auto p = pkt(1, 39);
+  p->seq = 42;  // the hop's seq, not the producer's, keys the history
+  stamp_trailer(p, 0);
+  const std::uint64_t copies = media::RtpBody::deep_copy_count();
   hist.record(p, 0);
-  EXPECT_EQ(hist.lookup(1, false, 42, 500 * kMs), p);
-  EXPECT_EQ(hist.lookup(1, false, 42, SendHistory::kMaxAge), p);
+  EXPECT_TRUE(same_packet(hist.lookup(1, false, 42, 500 * kMs), p));
+  EXPECT_TRUE(same_packet(hist.lookup(1, false, 42, SendHistory::kMaxAge), p));
   EXPECT_EQ(hist.lookup(1, false, 42, SendHistory::kMaxAge + 1), nullptr);
+  // Record and lookup share the body: no deep copy.
+  EXPECT_EQ(media::RtpBody::deep_copy_count(), copies);
+}
+
+// The history holds the body, not the hop's packet: once the sender
+// drops its packet, the packet is freed and the body lives on.
+TEST(SendHistory, RecordedPacketIsNotRetained) {
+  SendHistory hist;
+  auto p = pkt(1, 7);
+  hist.record(p, 0);
+  EXPECT_EQ(p->msg_ref_count(), 1u);
+  const media::RtpBody* body = &p->body();
+  p = nullptr;
+  const RtpPacketPtr again = hist.lookup(1, false, 7, 0);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(&again->body(), body);
+  EXPECT_EQ(again->seq, 7u);
 }
 
 TEST(SendHistory, ForgetStreamRemovesEntries) {
@@ -303,9 +354,13 @@ TEST(SendHistory, RecordsBeyondOldCountCapStayLive) {
   std::vector<RtpPacketPtr> sent;
   sent.reserve(2 * kPerFlow);
   Time now = 0;
+  const std::uint64_t copies = media::RtpBody::deep_copy_count();
   for (Seq s = 1; s <= kPerFlow; ++s) {
     for (const StreamId stream : {StreamId{1}, StreamId{2}}) {
-      sent.push_back(pkt(stream, s));
+      const auto p = pkt(stream, s);
+      p->delay_ext_us = static_cast<Duration>(s);
+      p->cdn_hops = static_cast<std::uint8_t>(stream);
+      sent.push_back(p);
       hist.record(sent.back(), now);
       now += 10 * kUs;
     }
@@ -314,10 +369,11 @@ TEST(SendHistory, RecordsBeyondOldCountCapStayLive) {
   std::size_t i = 0;
   for (Seq s = 1; s <= kPerFlow; ++s) {
     for (const StreamId stream : {StreamId{1}, StreamId{2}}) {
-      ASSERT_EQ(hist.lookup(stream, false, s, now), sent[i++])
+      ASSERT_TRUE(same_packet(hist.lookup(stream, false, s, now), sent[i++]))
           << "stream=" << stream << " seq=" << s;
     }
   }
+  EXPECT_EQ(media::RtpBody::deep_copy_count(), copies);
   EXPECT_EQ(hist.size(), 2 * kPerFlow);
 }
 
@@ -355,13 +411,14 @@ void run_history_differential(std::uint64_t seed) {
   std::size_t misses = 0;
 
   const auto record = [&](StreamId s, bool audio, Seq seq) {
-    const RtpPacketPtr p = flow_pkt(s, audio, seq);
+    const media::RtpPacketMut p = flow_pkt(s, audio, seq);
+    stamp_trailer(p, now);
     ring.record(p, now);
     oracle.record(p, now);
   };
   const auto check = [&](StreamId s, bool audio, Seq seq) {
     const RtpPacketPtr want = oracle.lookup(s, audio, seq, now);
-    ASSERT_EQ(ring.lookup(s, audio, seq, now), want)
+    ASSERT_TRUE(same_packet(ring.lookup(s, audio, seq, now), want))
         << "stream=" << s << " audio=" << audio << " seq=" << seq
         << " now=" << now;
     ++(want ? hits : misses);
@@ -407,9 +464,11 @@ void run_history_differential(std::uint64_t seed) {
 }
 
 TEST(SendHistoryDifferential, AgreesWithFifoOracle) {
+  const std::uint64_t copies = media::RtpBody::deep_copy_count();
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     run_history_differential(seed);
   }
+  EXPECT_EQ(media::RtpBody::deep_copy_count(), copies);
 }
 
 // A reorder burst far wider than the ring's first allocation, across a

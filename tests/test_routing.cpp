@@ -6,6 +6,7 @@
 #include "brain/ksp.h"
 #include "brain/routing_graph.h"
 #include "graph_builder.h"
+#include "routing_oracle.h"
 
 namespace livenet::brain {
 namespace {
@@ -44,9 +45,9 @@ TEST(Weights, NodeUtilizationDominatesLinkUtilization) {
 
 RoutingGraph diamond() {
   //     1
-  //   /   \
-  //  0     3     plus a direct slow edge 0->3
-  //   \   /
+  //   /   \      0->1->3 costs 10 + 10
+  //  0     3     plus a direct slow edge 0->3 (50)
+  //   \   /      0->2->3 costs 12 + 12
   //     2
   return make_graph(4, {{0, 1, 10}, {1, 3, 10}, {0, 2, 12}, {2, 3, 12},
                         {0, 3, 50}});

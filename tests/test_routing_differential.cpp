@@ -316,7 +316,9 @@ TEST(CsrView, MatchesDenseMatrixAcrossRebuilds) {
       for (std::uint32_t e = csr.row_start[a]; e < csr.row_start[a + 1];
            ++e) {
         const std::uint32_t b = csr.col[e];
-        if (!first) EXPECT_GT(b, prev_col);  // ascending columns
+        if (!first) {
+          EXPECT_GT(b, prev_col);  // ascending columns
+        }
         first = false;
         prev_col = b;
         EXPECT_TRUE(g.has_edge(a, b));

@@ -99,8 +99,8 @@ TEST(ZeroCopy, PacketizerOutputForksCleanly) {
 
 // A cancelled event must release what its callback captured at cancel()
 // time. A shared_ptr captured by a pending timer otherwise pins buffers
-// (a whole GoP cache entry, in the worst case) until the zombie's
-// timestamp surfaces.
+// (a whole GoP cache entry, in the worst case) until the cancelled
+// event's timestamp surfaces.
 TEST(CancelReleases, SharedPtrDroppedImmediatelyOnCancel) {
   sim::EventLoop loop;
   auto payload = std::make_shared<int>(42);
@@ -109,7 +109,8 @@ TEST(CancelReleases, SharedPtrDroppedImmediatelyOnCancel) {
       loop.schedule_after(10 * kSec, [p = std::move(payload)]() { (void)*p; });
   ASSERT_EQ(watch.use_count(), 1);  // callback holds the only reference
   loop.cancel(id);
-  // No events ran — the queue's zombie entry must not keep the capture.
+  // No events ran — the emptied node still queued must not keep the
+  // capture.
   EXPECT_TRUE(watch.expired());
   EXPECT_EQ(loop.dispatched(), 0u);
   loop.run();
